@@ -15,11 +15,14 @@ from ._version import __version__
 from .events import (
     EmptyDatasetError,
     EventAfterObservationEndError,
+    EventTable,
     InvalidTimestampError,
     PlatformSnapshot,
     ProjectProfile,
+    RegistrationAfterFirstEventError,
     TaskExecutionEvent,
     VolunteerProfile,
+    VolunteerProfiles,
     build_snapshot,
     derive_profiles,
     parse_timestamp,
@@ -86,6 +89,7 @@ __all__ = [
     "Ecdf",
     "EmptyDatasetError",
     "EventAfterObservationEndError",
+    "EventTable",
     "InfeasibleConfigError",
     "IngestConfig",
     "IngestResult",
@@ -98,6 +102,7 @@ __all__ = [
     "ProjectBalances",
     "ProjectClass",
     "ProjectProfile",
+    "RegistrationAfterFirstEventError",
     "ReportOptions",
     "SchemaError",
     "SynthConfig",
@@ -106,6 +111,7 @@ __all__ = [
     "UndefinedGiniError",
     "VolunteerMetrics",
     "VolunteerProfile",
+    "VolunteerProfiles",
     "availability_count",
     "balance_in_computing",
     "balance_in_recruitment",

@@ -17,6 +17,7 @@ from .events import (
     EmptyDatasetError,
     EventAfterObservationEndError,
     InvalidTimestampError,
+    RegistrationAfterFirstEventError,
     build_snapshot,
     parse_timestamp,
 )
@@ -54,6 +55,13 @@ def _date_flag(raw: str) -> date:
         return date.fromisoformat(raw)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _confidence_level(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError("must be in (0, 1)")
+    return value
 
 
 def _positive_int(raw: str) -> int:
@@ -118,7 +126,7 @@ def _add_analysis_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--confidence-level",
-        type=float,
+        type=_confidence_level,
         default=0.95,
         help="bootstrap CI level (default: 0.95)",
     )
@@ -292,11 +300,12 @@ def main(argv: list[str] | None = None) -> int:
         EventAfterObservationEndError,
         InvalidTimestampError,
         MalformedRowError,
+        RegistrationAfterFirstEventError,
         SchemaError,
         NetworkError,
         InfeasibleConfigError,
         OSError,
-        ValueError,
+        UnicodeDecodeError,  # an input file that is not UTF-8
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -21,16 +21,24 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import sys
 import time
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-import requests
+import numpy as np
 
-from .events import InvalidTimestampError, TaskExecutionEvent, parse_timestamp
+from .events import (
+    EventTable,
+    InvalidTimestampError,
+    TaskExecutionEvent,
+    parse_canonical_timestamps,
+    parse_timestamp,
+    to_micros,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -105,10 +113,13 @@ class IngestConfig:
 class IngestResult:
     """Loaded events plus the tallies lenient mode is accountable for.
 
+    ``events`` is an ``EventTable`` for CSV files and a list of event
+    objects for JSON-lines files and APIs.
+
     Invariant: loaded + dropped_anonymous + skipped_malformed == total_records.
     """
 
-    events: list[TaskExecutionEvent]
+    events: Sequence[TaskExecutionEvent]
     total_records: int = 0
     dropped_anonymous: int = 0
     skipped_malformed: int = 0
@@ -183,23 +194,41 @@ def _resolve_csv_columns(header: list[str], field_map: Mapping[str, str], source
 
 
 def _load_csv(config: IngestConfig) -> IngestResult:
+    """Read a CSV export into an ``EventTable``.
+
+    The row loop only checks fields and codes ids; timestamps are parsed
+    after it, canonical ``Z`` values in one vectorised pass and every other
+    value by ``parse_timestamp``, so tallies and strict-mode errors match a
+    row-by-row parse.
+    """
+    from array import array
+
     path = Path(config.location)
-    result = IngestResult(events=[])
+    source = str(path)
+    volunteer_codes: dict[str, int] = {}
+    task_codes: dict[str, int] = {}
+    project_codes: dict[str, int] = {}
+    volunteers, tasks, projects = array("i"), array("i"), array("i")
+    line_numbers = array("q")  # of each kept row, in strict mode only
+    stamps: list[str] = []
+    # strict mode: a row error found in the loop is raised only after the
+    # timestamps of the rows before it have been checked
+    row_error: MalformedRowError | None = None
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file, expected a header row") from None
-        columns = _resolve_csv_columns(header, config.field_map, str(path))
+        columns = _resolve_csv_columns(header, config.field_map, source)
         v_col = columns["volunteer_id"]
         t_col = columns["task_id"]
         p_col = columns["project_id"]
         ts_col = columns["timestamp"]
         width = max(columns.values()) + 1
-        intern = sys.intern
         strict = config.strict
-        append = result.events.append
+        add_volunteer, add_task, add_project = volunteers.append, tasks.append, projects.append
+        add_stamp, add_line_number = stamps.append, line_numbers.append
         total = dropped = skipped = 0
         for row in reader:
             if not row:
@@ -208,7 +237,8 @@ def _load_csv(config: IngestConfig) -> IngestResult:
             if len(row) < width:
                 skipped += 1
                 if strict:
-                    raise MalformedRowError(str(path), reader.line_num, f"expected >= {width} columns, got {len(row)}")
+                    row_error = MalformedRowError(source, reader.line_num, f"expected >= {width} columns, got {len(row)}")
+                    break
                 continue
             volunteer = row[v_col].strip()
             if not volunteer:
@@ -219,20 +249,34 @@ def _load_csv(config: IngestConfig) -> IngestResult:
             if not task or not project:
                 skipped += 1
                 if strict:
-                    raise MalformedRowError(str(path), reader.line_num, "missing task_id or project_id")
+                    row_error = MalformedRowError(source, reader.line_num, "missing task_id or project_id")
+                    break
                 continue
-            try:
-                timestamp = parse_timestamp(row[ts_col])
-            except InvalidTimestampError as exc:
-                skipped += 1
-                if strict:
-                    raise MalformedRowError(str(path), reader.line_num, str(exc)) from exc
-                continue
-            append(TaskExecutionEvent(intern(volunteer), task, intern(project), timestamp))
-    result.total_records = total
-    result.dropped_anonymous = dropped
-    result.skipped_malformed = skipped
-    return result
+            add_volunteer(volunteer_codes.setdefault(volunteer, len(volunteer_codes)))
+            add_task(task_codes.setdefault(task, len(task_codes)))
+            add_project(project_codes.setdefault(project, len(project_codes)))
+            add_stamp(row[ts_col])
+            if strict:
+                add_line_number(reader.line_num)
+
+    micros, parsed = parse_canonical_timestamps(stamps)
+    for index in np.flatnonzero(~parsed).tolist():
+        try:
+            micros[index] = to_micros(parse_timestamp(stamps[index]))
+        except InvalidTimestampError as exc:
+            skipped += 1
+            if strict:
+                raise MalformedRowError(source, line_numbers[index], str(exc)) from exc
+        else:
+            parsed[index] = True
+    if row_error is not None:
+        raise row_error
+    del stamps  # free the raw strings before the ids are re-coded
+    codes = [np.frombuffer(column, dtype=np.int32)[parsed] for column in (volunteers, tasks, projects)]
+    events = EventTable.from_codes(volunteer_codes, task_codes, project_codes, *codes, micros[parsed])
+    return IngestResult(
+        events=events, total_records=total, dropped_anonymous=dropped, skipped_malformed=skipped
+    )
 
 
 def _load_jsonl(config: IngestConfig) -> IngestResult:
@@ -265,6 +309,22 @@ def _cache_path(cache_dir: Path, url: str) -> Path:
     return cache_dir / f"{digest}.json"
 
 
+def _write_cache(path: Path, payload: Any) -> None:
+    """Write a page through a temp file and a rename, so a reader never sees part of it.
+
+    Not fsynced: a page that a power loss leaves empty or cut short no
+    longer decodes, and ``_get_page`` then fetches it again.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(json.dumps(payload), encoding="utf-8")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def _get_page(
     url: str,
     session: Any,
@@ -273,8 +333,16 @@ def _get_page(
 ) -> Any:
     if cache_dir is not None:
         cached = _cache_path(cache_dir, url)
-        if cached.exists():
+        try:
             return json.loads(cached.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            pass
+        except ValueError as exc:  # undecodable, e.g. cut short by an interrupted run
+            logger.warning(
+                "ignoring unreadable cache file %s for %s (%s); fetching again", cached, url, exc
+            )
+    import requests  # here, not at module level: file sources never pay its import time
+
     last_error: Exception | None = None
     for attempt in range(MAX_API_ATTEMPTS):
         if attempt:
@@ -294,8 +362,7 @@ def _get_page(
             last_error = exc
             continue
         if cache_dir is not None:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            _cache_path(cache_dir, url).write_text(json.dumps(payload), encoding="utf-8")
+            _write_cache(_cache_path(cache_dir, url), payload)
         return payload
     raise NetworkError(f"giving up on {url} after {MAX_API_ATTEMPTS} attempts") from last_error
 
@@ -321,6 +388,8 @@ def fetch_api(
     if config.kind != "api":
         raise ValueError(f"fetch_api cannot handle source kind {config.kind!r}")
     if session is None:
+        import requests
+
         session = requests.Session()
     base = config.location.rstrip("/")
     cache_dir = Path(config.cache_dir) if config.cache_dir is not None else None

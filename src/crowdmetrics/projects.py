@@ -50,9 +50,9 @@ def signed_balance(inherited_side: float, recruited_side: float) -> BalanceValue
 
 def balance_in_recruitment(project: ProjectProfile) -> BalanceValue:
     """Compare how many volunteers the project inherited vs recruited."""
-    if not project.volunteers:
+    if not project.inherited_count and not project.recruited_count:
         raise ValueError(f"project {project.project_id!r} has no volunteers")
-    return signed_balance(len(project.inherited), len(project.recruited))
+    return signed_balance(project.inherited_count, project.recruited_count)
 
 
 def balance_in_computing(
@@ -92,23 +92,21 @@ def compute_project_balances(
     projects: Mapping[str, ProjectProfile],
     volunteers: Mapping[str, VolunteerProfile],
 ) -> dict[str, ProjectBalances]:
-    """Compute both balances for every project. Order-independent."""
+    """Compute both balances for every project. Order-independent.
+
+    Reads only the counts on the project profiles; ``volunteers`` stays in
+    the signature for the callers that pass it.
+    """
     results: dict[str, ProjectBalances] = {}
     for project_id in sorted(projects):
         project = projects[project_id]
-        inherited_count = len(project.inherited)
-        recruited_count = len(project.recruited)
+        inherited_count = project.inherited_count
+        recruited_count = project.recruited_count
         mean_inherited = (
-            sum(volunteers[v].per_project_task_count[project_id] for v in project.inherited)
-            / inherited_count
-            if inherited_count
-            else None
+            project.inherited_task_count / inherited_count if inherited_count else None
         )
         mean_recruited = (
-            sum(volunteers[v].per_project_task_count[project_id] for v in project.recruited)
-            / recruited_count
-            if recruited_count
-            else None
+            project.recruited_task_count / recruited_count if recruited_count else None
         )
         if not inherited_count:
             computing: BalanceValue = Unbounded(-1)

@@ -9,11 +9,13 @@ to compare ingestion routes.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Mapping
 
 from ._version import __version__
@@ -324,35 +326,61 @@ def report_to_dict(report: MetricsReport) -> dict:
     }
 
 
+def _csv_text(header: Iterable[str], rows: Iterable[Iterable[object]]) -> str:
+    """CSV text with "\n" line ends; fields holding a comma, quote, "\r" or "\n" are quoted.
+
+    The writer gets "\r\n" as its line terminator because it quotes only
+    the line-terminator characters it was given; it writes one whole row per
+    call, and each row's terminator is swapped for "\n".
+    """
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return "".join([line[:-2] + "\n" for line in lines])
+
+
 def _volunteers_csv(report: MetricsReport) -> str:
-    lines = [
+    header = (
         "volunteer_id,available_projects,explored_projects,regular_projects,"
         "exploration_rate,engagement_rate,relative_activity_duration,"
         "platform_class,project_class"
-    ]
-    for m in report.volunteers:
-        lines.append(
-            f"{m.volunteer_id},{m.available_projects},{m.explored_projects},"
-            f"{m.regular_projects},{m.exploration_rate:.6f},{m.engagement_rate:.6f},"
-            f"{m.relative_activity_duration:.6f},{m.platform_class.value},"
-            f"{m.project_class.value}"
+    ).split(",")
+    rows = (
+        (
+            m.volunteer_id,
+            m.available_projects,
+            m.explored_projects,
+            m.regular_projects,
+            f"{m.exploration_rate:.6f}",
+            f"{m.engagement_rate:.6f}",
+            f"{m.relative_activity_duration:.6f}",
+            m.platform_class.value,
+            m.project_class.value,
         )
-    return "\n".join(lines) + "\n"
+        for m in report.volunteers
+    )
+    return _csv_text(header, rows)
 
 
 def _projects_csv(report: MetricsReport) -> str:
-    lines = [
+    header = (
         "project_id,inherited_count,recruited_count,mean_tasks_inherited,"
         "mean_tasks_recruited,balance_recruitment,balance_computing"
-    ]
-    for b in report.projects:
-        t = "" if b.mean_tasks_inherited is None else f"{b.mean_tasks_inherited:.6f}"
-        m = "" if b.mean_tasks_recruited is None else f"{b.mean_tasks_recruited:.6f}"
-        lines.append(
-            f"{b.project_id},{b.inherited_count},{b.recruited_count},{t},{m},"
-            f"{_balance_cell(b.recruitment)},{_balance_cell(b.computing)}"
+    ).split(",")
+    rows = (
+        (
+            b.project_id,
+            b.inherited_count,
+            b.recruited_count,
+            "" if b.mean_tasks_inherited is None else f"{b.mean_tasks_inherited:.6f}",
+            "" if b.mean_tasks_recruited is None else f"{b.mean_tasks_recruited:.6f}",
+            _balance_cell(b.recruitment),
+            _balance_cell(b.computing),
         )
-    return "\n".join(lines) + "\n"
+        for b in report.projects
+    )
+    return _csv_text(header, rows)
 
 
 def _platform_csv(report: MetricsReport) -> str:

@@ -53,7 +53,7 @@ def gini(values: Iterable[float]) -> float:
 
 def recruitment_inequality(projects: Mapping[str, ProjectProfile]) -> float:
     """Gini over per-project counts of volunteers recruited from outside."""
-    return gini(len(p.recruited) for p in projects.values())
+    return gini(p.recruited_count for p in projects.values())
 
 
 def contribution_inequality(projects: Mapping[str, ProjectProfile]) -> float:

@@ -10,13 +10,14 @@ class; each dimension's classes are mutually exclusive and exhaustive.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from typing import Mapping
 
-from .events import ProjectProfile, VolunteerProfile
+import numpy as np
+
+from .events import DAY_MICROS, ProjectProfile, VolunteerProfile, VolunteerProfiles, to_micros
 
 #: Availability modes: "overlap" counts projects whose last event is not
 #: before the volunteer's join instant; "all" counts every project on the
@@ -50,6 +51,30 @@ class VolunteerMetrics:
     project_class: ProjectClass
 
 
+def _available(join: np.ndarray, projects: Mapping[str, ProjectProfile], mode: str) -> np.ndarray:
+    """Available-project counts for join instants in epoch microseconds.
+
+    Counts, per join instant, the projects whose last event is not before it
+    ("overlap") or every project ("all"), through a sorted index of project
+    end instants instead of a scan per volunteer.
+    """
+    if mode == "all":
+        return np.full(len(join), len(projects), dtype=np.int64)
+    if mode != "overlap":
+        raise ValueError(f"unknown availability mode: {mode!r}")
+    ends = np.sort(np.array([to_micros(p.last_event) for p in projects.values()], dtype=np.int64))
+    return len(ends) - np.searchsorted(ends, join, side="left")
+
+
+def _activity_duration(join: np.ndarray, last: np.ndarray, end: int) -> np.ndarray:
+    """``relative_activity_duration`` for arrays of epoch-microsecond instants."""
+    join_day = join // DAY_MICROS
+    tenure = end // DAY_MICROS - join_day
+    span = last // DAY_MICROS - join_day
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(tenure == 0, 1.0, span / tenure)
+
+
 def availability_count(
     volunteer: VolunteerProfile,
     projects: Mapping[str, ProjectProfile],
@@ -62,12 +87,7 @@ def availability_count(
     arrived or was built later. Projects that ended before the volunteer
     joined are excluded. In "all" mode every project counts.
     """
-    if mode == "all":
-        return len(projects)
-    if mode != "overlap":
-        raise ValueError(f"unknown availability mode: {mode!r}")
-    join = volunteer.join_instant
-    return sum(1 for project in projects.values() if project.last_event >= join)
+    return int(_available(np.array([to_micros(volunteer.join_instant)]), projects, mode)[0])
 
 
 def exploration_rate(
@@ -102,12 +122,9 @@ def relative_activity_duration(volunteer: VolunteerProfile, observation_end: dat
     joined on the observation day used their entire (zero-length) window, so
     a zero denominator yields 1.0.
     """
-    join_day = volunteer.join_instant.date()
-    tenure = (observation_end.date() - join_day).days
-    if tenure == 0:
-        return 1.0
-    span = (volunteer.last_instant.date() - join_day).days
-    return span / tenure
+    join = np.array([to_micros(volunteer.join_instant)])
+    last = np.array([to_micros(volunteer.last_instant)])
+    return float(_activity_duration(join, last, to_micros(observation_end))[0])
 
 
 def classify(
@@ -135,40 +152,43 @@ def classify(
 
 
 def compute_volunteer_metrics(
-    volunteers: Mapping[str, VolunteerProfile],
+    volunteers: VolunteerProfiles,
     projects: Mapping[str, ProjectProfile],
     observation_end: datetime,
     availability: str = "overlap",
 ) -> dict[str, VolunteerMetrics]:
     """Compute metrics and classes for every volunteer.
 
-    Pure per-volunteer computation over immutable profiles; the availability
-    count uses a sorted index of project end instants instead of rescanning
-    all projects per volunteer, which matters on large platforms.
+    Reads the per-volunteer count arrays of the profiles ``derive_profiles``
+    returns and computes each metric for all volunteers at once; only the
+    result objects are built per volunteer.
     """
     if availability not in AVAILABILITY_MODES:
         raise ValueError(f"unknown availability mode: {availability!r}")
-    project_count = len(projects)
-    last_events = sorted(p.last_event for p in projects.values())
-
+    available = _available(volunteers.join, projects, availability)
+    explored = volunteers.explored
+    regular = volunteers.regular
+    duration = _activity_duration(volunteers.join, volunteers.last, to_micros(observation_end))
     results: dict[str, VolunteerMetrics] = {}
-    for volunteer_id in sorted(volunteers):
-        volunteer = volunteers[volunteer_id]
-        if availability == "all":
-            available = project_count
-        else:
-            available = project_count - bisect_left(last_events, volunteer.join_instant)
-        explored = volunteer.explored_project_count
-        regular = volunteer.regular_project_count
-        platform_class, project_class = classify(len(volunteer.active_days), explored, regular)
+    for volunteer_id, a, p, g, exploration, engagement, relative, days in zip(
+        volunteers,
+        available.tolist(),
+        explored.tolist(),
+        regular.tolist(),
+        (explored / available).tolist(),
+        (regular / available).tolist(),
+        duration.tolist(),
+        volunteers.active_day_count.tolist(),
+    ):
+        platform_class, project_class = classify(days, p, g)
         results[volunteer_id] = VolunteerMetrics(
             volunteer_id=volunteer_id,
-            available_projects=available,
-            explored_projects=explored,
-            regular_projects=regular,
-            exploration_rate=explored / available,
-            engagement_rate=regular / available,
-            relative_activity_duration=relative_activity_duration(volunteer, observation_end),
+            available_projects=a,
+            explored_projects=p,
+            regular_projects=g,
+            exploration_rate=exploration,
+            engagement_rate=engagement,
+            relative_activity_duration=relative,
             platform_class=platform_class,
             project_class=project_class,
         )

@@ -6,16 +6,20 @@ below; exact means exact.
 """
 
 import json
+import os
 import random
 import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crowdmetrics
 from crowdmetrics.cli import main as cli_main
 from crowdmetrics.events import build_snapshot, derive_profiles
 from crowdmetrics.ingest import IngestConfig, format_timestamp, load_events, write_events_csv
@@ -315,12 +319,17 @@ def test_criterion_07_determinism(tmp_path):
     events, _ = generate(SynthConfig(seed=77, volunteer_count=150, project_count=10))
     source = tmp_path / "events.csv"
     write_events_csv(events, source)
+    # run the package from the source tree it was imported from, so a
+    # PYTHONPATH-only checkout needs no installed console script
+    package_root = str(Path(crowdmetrics.__file__).resolve().parent.parent)
+    python_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=python_path)
     outputs = []
     for run in ("one", "two"):
         out = tmp_path / run
         proc = subprocess.run(
             [
-                "crowdmetrics", "report",
+                sys.executable, "-m", "crowdmetrics", "report",
                 "--input", str(source),
                 "--bootstrap-resamples", "2000",
                 "--seed", "31",
@@ -328,6 +337,7 @@ def test_criterion_07_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out)

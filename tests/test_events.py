@@ -135,8 +135,35 @@ def event_lists(draw, max_events=60):
     return events
 
 
+UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+@st.composite
+def edge_event_lists(draw, max_events=40):
+    """Events at the edges of the columnar encoding.
+
+    Ids that differ only by a comma or a trailing NUL (lost by fixed-width
+    numpy strings), and instants around the Unix epoch that tie to the
+    second, differ only in microseconds, or fall before 1970.
+    """
+    count = draw(st.integers(1, max_events))
+    return [
+        TaskExecutionEvent(
+            volunteer_id=draw(st.sampled_from(["a", "a\x00", "a,b", "b"])),
+            task_id=draw(st.sampled_from(["t", "t\x00", "t,0", "u"])),
+            project_id=draw(st.sampled_from(["p", "p\x00", "p,q"])),
+            timestamp=UNIX_EPOCH
+            + timedelta(days=draw(st.integers(-2, 1)), microseconds=draw(st.integers(-2, 2))),
+        )
+        for _ in range(count)
+    ]
+
+
+any_event_lists = st.one_of(event_lists(), edge_event_lists())
+
+
 class TestSnapshotProperties:
-    @given(event_lists())
+    @given(any_event_lists)
     def test_dedupe_matches_oracle(self, events):
         snap = build_snapshot(events)
         assert list(snap.events) == dedupe_oracle(events)
@@ -154,6 +181,31 @@ class TestSnapshotProperties:
         keys = [(e.volunteer_id, e.task_id) for e in snap.events]
         assert len(keys) == len(set(keys))
         assert len(snap.events) + snap.duplicates_removed == len(events)
+
+    def test_columns_are_read_only(self):
+        snap = build_snapshot([ev("a", "t1", "p1", "2014-01-01T00:00")])
+        with pytest.raises(ValueError):
+            snap.events.timestamp[0] = 0
+        with pytest.raises(ValueError):
+            snap.events.volunteer[0] = 1
+
+    def test_microsecond_ties_and_pre_epoch_instants(self):
+        base = datetime(1969, 12, 31, 23, 59, 59, tzinfo=timezone.utc)
+        events = [
+            ev("v", "t2", "pB", base + timedelta(microseconds=1)),
+            ev("v", "t1", "pA", base + timedelta(microseconds=2)),
+            ev("v", "t1", "pC", base + timedelta(microseconds=1)),  # earlier copy of t1
+            ev("w", "t3", "pA", base + timedelta(seconds=1)),  # 1970-01-01, the next day
+        ]
+        snap = build_snapshot(events)
+        assert [(e.task_id, e.project_id) for e in snap.events] == [
+            ("t1", "pC"), ("t2", "pB"), ("t3", "pA")
+        ]
+        assert list(snap.events) == dedupe_oracle(events)
+        volunteers, _ = derive_profiles(snap)
+        assert volunteers["v"].first_project == "pC"  # same microsecond: smaller task id
+        assert volunteers["v"].active_days == {base.date()}
+        assert volunteers["w"].active_days == {UNIX_EPOCH.date()}
 
 
 class TestDeriveProfiles:
@@ -193,7 +245,7 @@ class TestDeriveProfiles:
         assert projects["pA"].recruited == {"v"}
         assert projects["pB"].inherited == {"v"}
 
-    @given(event_lists())
+    @given(any_event_lists)
     def test_matches_raw_event_oracle(self, events):
         snap = build_snapshot(events)
         volunteers, projects = derive_profiles(snap)

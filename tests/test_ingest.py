@@ -1,9 +1,19 @@
 """CSV and JSON-lines ingestion: field mapping, tallies, strict mode."""
 
 import json
+from datetime import datetime
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from crowdmetrics.events import (
+    InvalidTimestampError,
+    build_snapshot,
+    derive_profiles,
+    from_micros,
+    parse_canonical_timestamps,
+    parse_timestamp,
+)
 from crowdmetrics.ingest import (
     DEFAULT_FIELD_MAP,
     IngestConfig,
@@ -14,7 +24,7 @@ from crowdmetrics.ingest import (
     load_registration_dates,
     write_events_csv,
 )
-from testkit import ev, ts
+from testkit import dedupe_oracle, ev, ts, volunteer_oracle
 
 
 @pytest.fixture
@@ -160,6 +170,143 @@ class TestCsv:
         )
         event = load_file(IngestConfig(kind="csv-file", location=str(path))).events[0]
         assert (event.volunteer_id, event.task_id, event.project_id) == ("u1", "t1", "p1")
+
+
+class TestCanonicalTimestamps:
+    """The vectorised parse agrees with parse_timestamp wherever it answers."""
+
+    @given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)))
+    def test_canonical_values_take_the_fast_path(self, instant):
+        raw = instant.replace(microsecond=0).isoformat() + "Z"
+        micros, parsed = parse_canonical_timestamps([raw])
+        assert parsed[0]
+        assert from_micros(int(micros[0])) == parse_timestamp(raw)
+
+    @given(st.tuples(*[st.integers(0, 9999)] + [st.integers(0, 99)] * 5))
+    @example((2014, 2, 30, 0, 0, 0))
+    @example((2014, 13, 1, 0, 0, 0))
+    @example((2014, 7, 17, 23, 59, 60))
+    @example((2014, 7, 17, 24, 0, 0))
+    @example((1900, 2, 29, 0, 0, 0))
+    @example((2000, 2, 29, 0, 0, 0))
+    @example((0, 1, 1, 0, 0, 0))
+    def test_canonical_shape_agrees_with_parse_timestamp(self, parts):
+        raw = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}Z".format(*parts)
+        micros, parsed = parse_canonical_timestamps([raw])
+        try:
+            expected = parse_timestamp(raw)
+        except InvalidTimestampError:
+            assert not parsed[0]
+        else:
+            assert parsed[0]
+            assert from_micros(int(micros[0])) == expected
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "2014-07-17T10:00:00Z ",
+            " 2014-07-17T10:00:00Z",
+            "2014-07-17T10:00:00z",
+            "2014-07-17 10:00:00Z",
+            "2014-07-17T10:00:00.5Z",
+            "2014-07-17T12:00:00+02:00",
+            "\uff12014-07-17T10:00:00Z",  # a fullwidth digit
+            "2014-07-17T10:00:0\x00Z",
+            "",
+        ],
+    )
+    def test_other_forms_are_left_to_parse_timestamp(self, raw):
+        _, parsed = parse_canonical_timestamps(["2014-07-17T10:00:00Z", raw])
+        assert parsed.tolist() == [True, False]
+
+
+class TestCsvColumnarEdges:
+    """CSV loads equal a row-by-row parse, whichever path a timestamp takes."""
+
+    def test_mixed_forms_match_parse_timestamp(self, tmp_path):
+        stamps = [
+            "2014-07-17T10:00:00Z",
+            "2014-07-17T12:00:00+02:00",
+            "2014-07-17 10:00:00",
+            "2014-07-17T10:00:00.000001Z",
+            "1969-12-31T23:59:59Z",
+            "1969-12-31T23:59:59.999999",
+            "0001-01-01T00:00:00Z",
+            " 2014-07-17T10:00:00Z ",
+        ]
+        path = tmp_path / "mixed.csv"
+        write_lines(
+            path,
+            ["volunteer_id,task_id,project_id,timestamp"]
+            + [f"u{i},t{i},p1,{stamp}" for i, stamp in enumerate(stamps)],
+        )
+        result = load_file(IngestConfig(kind="csv-file", location=str(path), strict=True))
+        assert [e.timestamp for e in result.events] == [parse_timestamp(s) for s in stamps]
+
+    @pytest.mark.parametrize(
+        "bad", ["2014-02-30T00:00:00Z", "2014-13-01T00:00:00Z", "2014-07-17T23:59:60Z"]
+    )
+    def test_canonical_shaped_invalid_values(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        write_lines(
+            path,
+            [
+                "volunteer_id,task_id,project_id,timestamp",
+                'u1,t1,"p\n1",2014-01-01T00:00:00Z',  # one record on lines 2-3
+                f"u2,t2,p1,{bad}",
+                "u3,t3,p1,2014-01-02T00:00:00Z",
+            ],
+        )
+        lenient = load_file(IngestConfig(kind="csv-file", location=str(path)))
+        assert (lenient.loaded, lenient.skipped_malformed, lenient.total_records) == (2, 1, 3)
+        with pytest.raises(MalformedRowError) as err:
+            load_file(IngestConfig(kind="csv-file", location=str(path), strict=True))
+        assert err.value.line_number == 4
+        assert err.value.reason == f"unparseable timestamp: {bad!r}"
+
+    @pytest.mark.parametrize(
+        "rows, line, complaint",
+        [
+            (["u1,t1,p1,yesterday", "u2,t2"], 2, "unparseable"),
+            (["u2,t2", "u1,t1,p1,yesterday"], 2, "columns"),
+        ],
+    )
+    def test_strict_reports_the_first_bad_row(self, tmp_path, rows, line, complaint):
+        path = tmp_path / "bad.csv"
+        write_lines(path, ["volunteer_id,task_id,project_id,timestamp"] + rows)
+        with pytest.raises(MalformedRowError, match=complaint) as err:
+            load_file(IngestConfig(kind="csv-file", location=str(path), strict=True))
+        assert err.value.line_number == line
+
+    def test_quoted_commas_and_trailing_nul_in_ids(self, tmp_path):
+        path = tmp_path / "ids.csv"
+        write_lines(
+            path,
+            [
+                "volunteer_id,task_id,project_id,timestamp",
+                '"a,b",t,"p,1",2014-01-02T00:00:00Z',
+                "a,t,p,2014-01-01T00:00:00.000001Z",
+                "a\x00,t\x00,p\x00,2014-01-01T00:00:00Z",
+                "a,t\x00,p,2014-01-01T00:00:00Z",
+                "a,t,p\x00,2014-01-01T00:00:00Z",
+            ],
+        )
+        result = load_file(IngestConfig(kind="csv-file", location=str(path)))
+        assert result.events == [
+            ev("a,b", "t", "p,1", "2014-01-02T00:00:00"),
+            ev("a", "t", "p", "2014-01-01T00:00:00.000001"),
+            ev("a\x00", "t\x00", "p\x00", "2014-01-01T00:00:00"),
+            ev("a", "t\x00", "p", "2014-01-01T00:00:00"),
+            ev("a", "t", "p\x00", "2014-01-01T00:00:00"),
+        ]
+        snap = build_snapshot(result.events)
+        assert snap.events.volunteer_ids == ("a", "a\x00", "a,b")
+        assert list(snap.events) == dedupe_oracle(list(result.events))
+        volunteers, _ = derive_profiles(snap)
+        oracle = volunteer_oracle(snap.events)
+        assert {v: p.first_project for v, p in volunteers.items()} == {
+            v: fact["first_project"] for v, fact in oracle.items()
+        }
 
 
 class TestJsonl:

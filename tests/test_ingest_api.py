@@ -202,6 +202,22 @@ class TestCache:
         second = fetch_api(cfg, session=ExplodingSession(), sleep=lambda s: None)
         assert second.events == first.events
 
+    def test_truncated_cache_file_is_fetched_again(self, tmp_path, caplog):
+        records = [record(i) for i in range(30)]
+        cfg = config(cache_dir=str(tmp_path))
+        fetch_api(cfg, session=StubSession({page_url(0): [StubResponse(records)]}), sleep=lambda s: None)
+        (cached,) = tmp_path.iterdir()
+        cached.write_text(cached.read_text(encoding="utf-8")[:50], encoding="utf-8")  # a cut-off write
+
+        session = StubSession({page_url(0): [StubResponse(records)]})
+        with caplog.at_level("WARNING", logger="crowdmetrics.ingest"):
+            result = fetch_api(cfg, session=session, sleep=lambda s: None)
+        assert result.loaded == 30
+        assert session.calls == [page_url(0)]
+        assert any("unreadable cache file" in message for message in caplog.messages)
+        assert json.loads(cached.read_text(encoding="utf-8")) == records
+        assert list(tmp_path.iterdir()) == [cached]  # no temp file left behind
+
     def test_cache_not_written_on_failure(self, tmp_path):
         session = StubSession({page_url(0): [StubResponse(None, status=404)]})
         with pytest.raises(NetworkError):

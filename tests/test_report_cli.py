@@ -1,8 +1,10 @@
 """Report assembly, artifact determinism, and the command-line interface."""
 
+import csv
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crowdmetrics.cli import main
 from crowdmetrics.events import build_snapshot
@@ -141,6 +143,32 @@ class TestSerialization:
         lines = paths["volunteers.csv"].read_text().splitlines()
         assert len(lines) == len(report.volunteers) + 1
         assert lines[0].startswith("volunteer_id,available_projects")
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=6, unique=True),
+        st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True),
+    )
+    def test_table_ids_round_trip_through_csv(self, tmp_path_factory, volunteer_ids, project_ids):
+        # any characters, commas, quotes, line breaks and NULs included
+        events = [
+            ev(volunteer, f"t{i}", project_ids[i % len(project_ids)], "2014-01-01T10:00")
+            for i, volunteer in enumerate(volunteer_ids)
+        ]
+        events += [
+            ev(volunteer_ids[0], f"u{i}", project, "2014-01-02T10:00")
+            for i, project in enumerate(project_ids)
+        ]
+        report = build_report(build_snapshot(events), fast)
+        paths = write_report(report, tmp_path_factory.mktemp("tables"), plot_data=False)
+        for name, ids, width in (
+            ("volunteers.csv", volunteer_ids, 9),
+            ("projects.csv", project_ids, 7),
+        ):
+            with paths[name].open(newline="", encoding="utf-8") as handle:
+                rows = list(csv.reader(handle))
+            assert all(len(row) == width for row in rows)
+            assert [row[0] for row in rows[1:]] == sorted(ids)
 
     def test_summary_mentions_key_numbers(self, synth_snapshot):
         report = build_report(synth_snapshot, fast)
@@ -287,6 +315,20 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             run_cli("metrics", "--input", "x", "--availability", "never")
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("level", ["0", "1", "1.5", "-0.1", "nan"])
+    def test_confidence_level_outside_unit_interval_is_usage_error(self, event_csv, level):
+        with pytest.raises(SystemExit) as err:
+            run_cli("metrics", "--input", str(event_csv), "--confidence-level", level, "--out", "x")
+        assert err.value.code == 1
+
+    def test_unexpected_value_error_is_not_a_data_fault(self, event_csv, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a bug, not bad data")
+
+        monkeypatch.setattr("crowdmetrics.cli.build_report", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            run_cli("metrics", "--input", str(event_csv), "--out", str(tmp_path / "out"))
 
     def test_bad_observation_end_is_usage_error(self, event_csv):
         with pytest.raises(SystemExit) as err:
