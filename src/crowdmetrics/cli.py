@@ -178,16 +178,9 @@ def _build_report(args: argparse.Namespace):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    """Run ``report`` (every artifact) or ``metrics`` (no plot data)."""
     report = _build_report(args)
-    paths = write_report(report, args.out)
-    sys.stdout.write(render_summary(report))
-    sys.stdout.write(f"wrote {len(paths)} artifacts to {args.out}\n")
-    return 0
-
-
-def cmd_metrics(args: argparse.Namespace) -> int:
-    report = _build_report(args)
-    paths = write_report(report, args.out, plot_data=False)
+    paths = write_report(report, args.out, plot_data=args.plot_data)
     sys.stdout.write(render_summary(report))
     sys.stdout.write(f"wrote {len(paths)} artifacts to {args.out}\n")
     return 0
@@ -247,21 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    report = commands.add_parser(
-        "report", help="compute metrics and write all artifacts, plot data included"
-    )
-    _add_source_arguments(report)
-    _add_analysis_arguments(report)
-    report.add_argument("--out", required=True, metavar="DIR", help="artifact directory")
-    report.set_defaults(func=cmd_report)
-
-    metrics = commands.add_parser(
-        "metrics", help="compute metrics, write the JSON report and CSV tables"
-    )
-    _add_source_arguments(metrics)
-    _add_analysis_arguments(metrics)
-    metrics.add_argument("--out", required=True, metavar="DIR", help="artifact directory")
-    metrics.set_defaults(func=cmd_metrics)
+    for name, help_text, plot_data in (
+        ("report", "compute metrics and write all artifacts, plot data included", True),
+        ("metrics", "compute metrics, write the JSON report and CSV tables", False),
+    ):
+        command = commands.add_parser(name, help=help_text)
+        _add_source_arguments(command)
+        _add_analysis_arguments(command)
+        command.add_argument("--out", required=True, metavar="DIR", help="artifact directory")
+        command.set_defaults(func=cmd_report, plot_data=plot_data)
 
     ingest = commands.add_parser("ingest", help="normalize a source into canonical CSV")
     _add_source_arguments(ingest)

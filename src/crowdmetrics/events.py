@@ -332,12 +332,18 @@ class PlatformSnapshot:
     equality compares its columns. ``duplicates_removed`` counts the
     (volunteer, task) re-submissions dropped during deduplication; it is
     surfaced in reports but does not take part in snapshot equality.
+
+    Snapshots are unhashable by design: ``events`` also compares equal to
+    any sequence holding the same events, such as a tuple, and no hash of
+    its columns could agree with that tuple's hash.
     """
 
     events: EventTable
     observation_end: datetime
     excluded_projects: frozenset[str] = frozenset()
     duplicates_removed: int = field(default=0, compare=False)
+
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def event_count(self) -> int:

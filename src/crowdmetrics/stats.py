@@ -137,6 +137,16 @@ class BootstrapCI:
     seed: int
 
 
+#: Resampled elements (indices or counts) drawn per chunk, bounding memory.
+_CHUNK_ELEMENTS = 8_000_000
+
+#: Draw multinomial counts when the sample holds at least this many values per
+#: distinct value. Measured on 2 vCPUs at n = 5,000-100,000 and 2,000
+#: resamples, the two draws cost the same between n / 24 and n / 16 distinct
+#: values; below that the count draw wins (4x at n / 40), above it the gather.
+_MIN_VALUES_PER_DISTINCT = 20
+
+
 def bootstrap_mean_ci(
     sample: Sequence[float] | np.ndarray,
     level: float = 0.95,
@@ -146,27 +156,56 @@ def bootstrap_mean_ci(
     """Percentile bootstrap CI for the mean; deterministic for a fixed seed.
 
     Lower and upper bounds are the (1-level)/2 and 1-(1-level)/2 empirical
-    quantiles of the resampled means. Resampling is chunked to bound memory,
-    with a chunk policy that depends only on (n, resamples) so the random
-    stream, and therefore the interval, is reproducible.
+    quantiles of the resampled means. Each resample draws the sample's n
+    values with replacement; how depends only on n and the number k of
+    distinct values:
+
+    - k == 1: every resample mean is the sample mean, so the interval is
+      exactly the estimate.
+    - n >= 20 k: a resample is Multinomial(n, counts / n) counts over the
+      sorted distinct values, and its mean is counts @ values / n. These
+      counts are distributed exactly as the tallies of n uniform index
+      draws, so the means have the gather's distribution at O(k) instead
+      of O(n) cost per resample (Efron & Tibshirani 1993; Hanley &
+      MacGibbon 2006), and the interval does not depend on the sample's
+      order.
+    - otherwise: n uniform indices per resample are gathered from the sample.
+
+    Draws are chunked to bound memory, by a policy that depends only on
+    (n, k, resamples), so the random stream, and therefore the interval, is
+    reproducible.
+
+    Raises:
+        ValueError: on an empty sample, a NaN or infinite value, a level
+            outside (0, 1), or fewer than one resample.
     """
     data = np.asarray(sample, dtype=float)
     if data.size == 0:
         raise ValueError("bootstrap sample must be non-empty")
+    if not np.isfinite(data).all():
+        raise ValueError("bootstrap sample must hold only finite values")
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must be in (0, 1)")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
     n = data.size
+    values, counts = np.unique(data, return_counts=True)
     rng = np.random.default_rng(seed)
     means = np.empty(resamples, dtype=float)
-    chunk = max(1, min(resamples, 8_000_000 // n))
-    start = 0
-    while start < resamples:
-        size = min(chunk, resamples - start)
-        indices = rng.integers(0, n, size=(size, n))
-        means[start : start + size] = data[indices].mean(axis=1)
-        start += size
+    if values.size == 1:
+        means.fill(data.mean())
+    elif n >= _MIN_VALUES_PER_DISTINCT * values.size:
+        chunk = max(1, min(resamples, _CHUNK_ELEMENTS // values.size))
+        for start in range(0, resamples, chunk):
+            size = min(chunk, resamples - start)
+            draws = rng.multinomial(n, counts / n, size=size)
+            means[start : start + size] = draws @ values / n
+    else:
+        chunk = max(1, min(resamples, _CHUNK_ELEMENTS // n))
+        for start in range(0, resamples, chunk):
+            size = min(chunk, resamples - start)
+            indices = rng.integers(0, n, size=(size, n))
+            means[start : start + size] = data[indices].mean(axis=1)
     alpha = 1.0 - level
     lower, upper = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
     return BootstrapCI(

@@ -189,6 +189,15 @@ class TestSnapshotProperties:
         with pytest.raises(ValueError):
             snap.events.volunteer[0] = 1
 
+    def test_unhashable_by_design(self):
+        events = [ev("a", "t1", "p1", "2014-01-01T00:00")]
+        snap = build_snapshot(events)
+        # events equal any sequence of the same events, so no column hash fits
+        assert snap.events == tuple(snap.events)
+        with pytest.raises(TypeError, match="unhashable type: 'PlatformSnapshot'"):
+            hash(snap)
+        assert snap == build_snapshot(events)
+
     def test_microsecond_ties_and_pre_epoch_instants(self):
         base = datetime(1969, 12, 31, 23, 59, 59, tzinfo=timezone.utc)
         events = [

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from crowdmetrics.events import build_snapshot, derive_profiles
 from crowdmetrics.projects import Unbounded
 from crowdmetrics.stats import (
+    _MIN_VALUES_PER_DISTINCT,
     BootstrapCI,
     UndefinedGiniError,
     bootstrap_mean_ci,
@@ -20,6 +21,24 @@ from crowdmetrics.stats import (
 )
 from crowdmetrics.volunteers import PlatformClass, ProjectClass
 from testkit import ev, gini_pairwise
+
+
+def gather_bootstrap_ci(sample, level, resamples, seed):
+    """Reference: draw n indices with replacement per resample and gather them."""
+    data = np.asarray(sample, dtype=float)
+    rng = np.random.default_rng(seed)
+    means = data[rng.integers(0, data.size, size=(resamples, data.size))].mean(axis=1)
+    alpha = 1.0 - level
+    return np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
+
+
+def low_k_sample(n=400):
+    """Skewed sample of five distinct values, like whole-day duration ratios."""
+    rng = np.random.default_rng(17)
+    values = rng.choice([0.0, 0.1, 0.25, 0.5, 1.0], size=n, p=[0.5, 0.2, 0.15, 0.1, 0.05])
+    assert n >= _MIN_VALUES_PER_DISTINCT * np.unique(values).size  # the count draw runs
+    return values
+
 
 gini_samples = st.lists(
     st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)),
@@ -187,6 +206,44 @@ class TestBootstrap:
         lower, upper = np.quantile(means, [0.025, 0.975])
         assert ci.lower == pytest.approx(float(lower), abs=1e-15)
         assert ci.upper == pytest.approx(float(upper), abs=1e-15)
+
+    def test_count_draw_matches_gather_in_distribution(self):
+        # The CI endpoints over many seeds must come from the same distribution
+        # whichever way the resamples are drawn.
+        sample = low_k_sample()
+        m = 250
+        cis = [bootstrap_mean_ci(sample, resamples=400, seed=s) for s in range(m)]
+        new = np.array([(ci.lower, ci.upper) for ci in cis])
+        old = np.array([gather_bootstrap_ci(sample, 0.95, 400, 10_000 + s) for s in range(m)])
+        for a, b in zip(new.T, old.T):
+            error = np.sqrt(a.var(ddof=1) / m + b.var(ddof=1) / m)
+            assert abs(a.mean() - b.mean()) < 4 * error
+            grid = np.union1d(a, b)
+            a_cdf = np.searchsorted(np.sort(a), grid, side="right") / m
+            b_cdf = np.searchsorted(np.sort(b), grid, side="right") / m
+            # two-sample Kolmogorov-Smirnov critical value at the 0.01 level
+            assert np.max(np.abs(a_cdf - b_cdf)) < 1.628 * np.sqrt(2 / m)
+
+    def test_count_draw_ignores_sample_order(self):
+        sample = low_k_sample()
+        shuffled = np.random.default_rng(3).permutation(sample)
+        assert bootstrap_mean_ci(shuffled, seed=4) == bootstrap_mean_ci(sample, seed=4)
+
+    @pytest.mark.parametrize("value, n", [(0.1, 30_000), (1 / 3, 1000), (0.7, 3)])
+    def test_single_distinct_value_degenerates_exactly(self, value, n):
+        # n copies of value summed and divided by n need not give back value
+        ci = bootstrap_mean_ci([value] * n, resamples=300, seed=1)
+        assert ci.lower == ci.upper == ci.estimate == float(np.full(n, value).mean())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "sample", [np.linspace(0, 1, 3), low_k_sample()], ids=["gather", "count-draw"]
+    )
+    def test_non_finite_values_rejected(self, bad, sample):
+        sample = list(sample)
+        sample[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            bootstrap_mean_ci(sample, resamples=50)
 
     def test_bounds_stable_once_resamples_saturate(self):
         # 10x more resamples must not move the bounds past reporting precision
