@@ -14,9 +14,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, TextIO
 
 from ._version import __version__
 from .events import PlatformSnapshot, derive_profiles
@@ -170,18 +171,30 @@ def build_report(
             continue
         name = ACTIVITY_GROUPS[0] if m.explored_projects == 1 else ACTIVITY_GROUPS[1]
         group_samples[name].append(m.relative_activity_duration)
-    groups = []
-    for index, name in enumerate(ACTIVITY_GROUPS):
-        sample = group_samples[name]
-        ci = None
-        if sample:
-            ci = bootstrap_mean_ci(
+    # The groups' bootstraps draw from separate streams, and numpy releases
+    # the GIL while drawing and gathering, so they run side by side.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=len(ACTIVITY_GROUPS)) as pool:
+        futures = {
+            name: pool.submit(
+                bootstrap_mean_ci,
                 sample,
                 level=options.confidence_level,
                 resamples=options.bootstrap_resamples,
                 seed=options.seed + index,
             )
-        groups.append(ActivityGroup(name=name, volunteer_count=len(sample), ci=ci))
+            for index, (name, sample) in enumerate(group_samples.items())
+            if sample
+        }
+    groups = [
+        ActivityGroup(
+            name=name,
+            volunteer_count=len(sample),
+            ci=futures[name].result() if name in futures else None,
+        )
+        for name, sample in group_samples.items()
+    ]
 
     return MetricsReport(
         observation_end=snapshot.observation_end,
@@ -432,6 +445,28 @@ def _activity_dat(report: MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Artifact name -> its text; report.json is streamed by _write_json instead.
+_ARTIFACT_TEXT = {
+    "volunteers.csv": _volunteers_csv,
+    "projects.csv": _projects_csv,
+    "platform.csv": _platform_csv,
+    "ecdf_recruitment.dat": lambda report: _ecdf_dat(report.ecdf_recruitment, "balance_in_recruitment"),
+    "ecdf_computing.dat": lambda report: _ecdf_dat(report.ecdf_computing, "balance_in_computing"),
+    "activity_ci.dat": _activity_dat,
+}
+
+#: Encoder chunks joined per write: a few hundred KB of text at a time.
+_JSON_CHUNKS_PER_WRITE = 4096
+
+
+def _write_json(doc: dict, handle: TextIO) -> None:
+    """Write ``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` without building it."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    while batch := list(islice(chunks, _JSON_CHUNKS_PER_WRITE)):
+        handle.write("".join(batch))
+    handle.write("\n")
+
+
 def write_report(
     report: MetricsReport, out_dir: str | Path, plot_data: bool = True
 ) -> dict[str, Path]:
@@ -439,25 +474,20 @@ def write_report(
 
     Always writes the JSON report and the three CSV tables; ``plot_data``
     adds the ECDF and CI data files. Output is deterministic: same report,
-    same bytes.
+    same bytes. Each artifact is built only as it is written, and
+    ``report.json`` is streamed, so no two artifacts are held at once.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    doc = report_to_dict(report)
-    contents = {
-        "report.json": json.dumps(doc, sort_keys=True, indent=2) + "\n",
-        "volunteers.csv": _volunteers_csv(report),
-        "projects.csv": _projects_csv(report),
-        "platform.csv": _platform_csv(report),
-        "ecdf_recruitment.dat": _ecdf_dat(report.ecdf_recruitment, "balance_in_recruitment"),
-        "ecdf_computing.dat": _ecdf_dat(report.ecdf_computing, "balance_in_computing"),
-        "activity_ci.dat": _activity_dat(report),
-    }
     names = ARTIFACT_NAMES if plot_data else TABLE_ARTIFACT_NAMES
     paths: dict[str, Path] = {}
     for name in names:
         path = out / name
-        path.write_text(contents[name], encoding="utf-8", newline="\n")
+        with path.open("w", encoding="utf-8", newline="\n") as handle:
+            if name == "report.json":
+                _write_json(report_to_dict(report), handle)
+            else:
+                handle.write(_ARTIFACT_TEXT[name](report))
         paths[name] = path
     return paths
 

@@ -137,8 +137,13 @@ class BootstrapCI:
     seed: int
 
 
-#: Resampled elements (indices or counts) drawn per chunk, bounding memory.
-_CHUNK_ELEMENTS = 8_000_000
+#: Resampled elements (indices or counts) drawn per block. On the gather
+#: path a block is 2 MB of int64 indices plus 2 MB of gathered values, small
+#: enough to stay in cache. Timed on 10,000 resamples of 20,000 and of 15,000
+#: mostly distinct values, one sample after the other / both on two threads
+#: (2 vCPU Xeon, numpy 2.4.6, medians): 8M elements 4.2 / 2.5 s, 1M 3.1 /
+#: 1.7 s, 512K 2.9 / 1.8 s, 256K 2.8 / 1.3 s, 128K 2.7 / 1.5 s, 64K 3.1 / 1.6 s.
+_CHUNK_ELEMENTS = 262_144
 
 #: Draw multinomial counts when the sample holds at least this many values per
 #: distinct value. Measured on 2 vCPUs at n = 5,000-100,000 and 2,000
@@ -171,9 +176,12 @@ def bootstrap_mean_ci(
       order.
     - otherwise: n uniform indices per resample are gathered from the sample.
 
-    Draws are chunked to bound memory, by a policy that depends only on
-    (n, k, resamples), so the random stream, and therefore the interval, is
-    reproducible.
+    Draws are made in blocks of about ``_CHUNK_ELEMENTS`` indices or counts,
+    sized for the cache, so memory stays bounded whatever n and resamples
+    are. The block size does not change the random stream: ``integers`` and
+    ``multinomial`` continue one stream across calls, and each resample's
+    mean is reduced over its own row. The interval therefore depends only on
+    the sample, level, resamples and seed.
 
     Raises:
         ValueError: on an empty sample, a NaN or infinite value, a level

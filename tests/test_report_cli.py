@@ -2,6 +2,7 @@
 
 import csv
 import json
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from crowdmetrics.cli import main
 from crowdmetrics.events import build_snapshot
 from crowdmetrics.ingest import format_timestamp, write_events_csv
 from crowdmetrics.report import (
+    ACTIVITY_GROUPS,
     ARTIFACT_NAMES,
     PLOT_ARTIFACT_NAMES,
     TABLE_ARTIFACT_NAMES,
@@ -20,6 +22,7 @@ from crowdmetrics.report import (
     report_to_dict,
     write_report,
 )
+from crowdmetrics.stats import bootstrap_mean_ci
 from crowdmetrics.synth import SynthConfig, generate
 from crowdmetrics.volunteers import PlatformClass
 from testkit import ev
@@ -74,6 +77,35 @@ class TestBuildReport:
         for group in report.activity_groups:
             if group.ci is not None:
                 assert group.ci.lower <= group.ci.estimate <= group.ci.upper
+
+    def test_group_intervals_equal_sequential_bootstraps(self, synth_snapshot):
+        options = ReportOptions(bootstrap_resamples=300, confidence_level=0.9, seed=11)
+        report = build_report(synth_snapshot, options)
+        regulars = [m for m in report.volunteers if m.platform_class is PlatformClass.REGULAR]
+        samples = (
+            [m.relative_activity_duration for m in regulars if m.explored_projects == 1],
+            [m.relative_activity_duration for m in regulars if m.explored_projects > 1],
+        )
+        assert [g.name for g in report.activity_groups] == list(ACTIVITY_GROUPS)
+        for index, (group, sample) in enumerate(zip(report.activity_groups, samples)):
+            assert sample, "the fixture must fill both groups"
+            assert group.ci == bootstrap_mean_ci(
+                sample, level=0.9, resamples=300, seed=options.seed + index
+            )
+
+    def test_group_bootstrap_error_propagates_and_threads_end(self, synth_snapshot, monkeypatch):
+        def fail_second_group(sample, *, level, resamples, seed):
+            if seed == fast.seed + 1:
+                raise RuntimeError("second group failed")
+            return bootstrap_mean_ci(sample, level=level, resamples=resamples, seed=seed)
+
+        threads_before = threading.active_count()
+        build_report(synth_snapshot, fast)
+        assert threading.active_count() == threads_before
+        monkeypatch.setattr("crowdmetrics.report.bootstrap_mean_ci", fail_second_group)
+        with pytest.raises(RuntimeError, match="second group failed"):
+            build_report(synth_snapshot, fast)
+        assert threading.active_count() == threads_before
 
     def test_empty_group_has_no_interval(self):
         # single volunteer, single day: no platform regulars at all
@@ -136,6 +168,24 @@ class TestSerialization:
         paths = write_report(report, tmp_path)
         reread = json.loads(paths["report.json"].read_text(encoding="utf-8"))
         assert reread == report_to_dict(report)
+
+    @pytest.mark.parametrize("chunks_per_write", [None, 1, 7])
+    def test_json_bytes_match_dumps(self, synth_snapshot, tmp_path, monkeypatch, chunks_per_write):
+        if chunks_per_write is not None:
+            monkeypatch.setattr("crowdmetrics.report._JSON_CHUNKS_PER_WRITE", chunks_per_write)
+        odd_ids = ["vé,1", 'v"2', "v\n3", "测试"]
+        events = [
+            ev(volunteer, f"t{i}", project, f"2014-01-0{1 + i % 3}T10:00")
+            for i, volunteer in enumerate(odd_ids)
+            for project in ("p,é", 'p"\n')
+        ]
+        for name, report in (
+            ("synth", build_report(synth_snapshot, fast)),
+            ("odd-ids", build_report(build_snapshot(events), fast)),
+        ):
+            paths = write_report(report, tmp_path / name)
+            oracle = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+            assert paths["report.json"].read_bytes() == oracle.encode("utf-8")
 
     def test_volunteers_csv_has_row_per_volunteer(self, synth_snapshot, tmp_path):
         report = build_report(synth_snapshot, fast)

@@ -207,6 +207,27 @@ class TestBootstrap:
         assert ci.lower == pytest.approx(float(lower), abs=1e-15)
         assert ci.upper == pytest.approx(float(upper), abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            np.random.default_rng(12).uniform(0, 1, 501),
+            np.random.default_rng(13).uniform(0, 1, 500),
+            low_k_sample(),
+        ],
+        ids=["gather-odd-n", "gather-even-n", "count-draw"],
+    )
+    def test_interval_does_not_depend_on_block_size(self, sample, monkeypatch):
+        resamples = 301
+        distinct = np.unique(sample).size
+        # elements per resample: n indices on the gather, k counts on the count draw
+        row = distinct if sample.size >= _MIN_VALUES_PER_DISTINCT * distinct else sample.size
+        intervals = {}
+        for rows in (1, 7, resamples):
+            monkeypatch.setattr("crowdmetrics.stats._CHUNK_ELEMENTS", rows * row)
+            ci = bootstrap_mean_ci(sample, resamples=resamples, seed=5)
+            intervals[rows] = (ci.lower, ci.upper)
+        assert intervals[1] == intervals[7] == intervals[resamples]
+
     def test_count_draw_matches_gather_in_distribution(self):
         # The CI endpoints over many seeds must come from the same distribution
         # whichever way the resamples are drawn.
