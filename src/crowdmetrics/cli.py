@@ -134,7 +134,6 @@ def _add_analysis_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> IngestConfig:
-    excluded = frozenset(getattr(args, "exclude_project", ()))
     if args.api_url:
         return IngestConfig(
             kind="api",
@@ -142,21 +141,15 @@ def _config_from_args(args: argparse.Namespace) -> IngestConfig:
             page_size=args.page_size,
             strict=args.strict,
             cache_dir=args.cache_dir,
-            excluded_projects=excluded,
         )
     kind = "csv-file" if args.format == "csv" else "jsonl-file"
-    return IngestConfig(
-        kind=kind, location=args.input, strict=args.strict, excluded_projects=excluded
-    )
+    return IngestConfig(kind=kind, location=args.input, strict=args.strict)
 
 
 def _build_report(args: argparse.Namespace):
-    config = _config_from_args(args)
-    result = load_events(config)
+    result = load_events(_config_from_args(args))
     snapshot = build_snapshot(
-        result.events,
-        observation_end=args.observation_end,
-        exclusions=config.excluded_projects,
+        result.events, observation_end=args.observation_end, exclusions=args.exclude_project
     )
     registrations = None
     if args.registration_dates:

@@ -529,7 +529,7 @@ def build_snapshot(
 ) -> PlatformSnapshot:
     """Validate, filter, deduplicate, and order raw events into a snapshot.
 
-    ``events`` is an ``EventTable`` (as the CSV loader returns) or any
+    ``events`` is an ``EventTable`` (as every loader returns) or any
     iterable of event objects, which is encoded first. Events from excluded
     projects are dropped first. Duplicate (volunteer_id, task_id) pairs keep
     the record with the earliest timestamp, ties going to the smallest

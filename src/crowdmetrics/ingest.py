@@ -1,12 +1,12 @@
 """Event-log ingestion from CSV files, JSON-lines files, and task-run APIs.
 
-All three sources normalize into the same TaskExecutionEvent records, so a
-platform export and a live API crawl of the same records produce identical
-snapshots. Field names are configurable; the defaults follow the PyBossa
-task-run schema (user_id/task_id/project_id/finish_time), and the loader
-falls back to the canonical names (volunteer_id/.../timestamp) when a mapped
-column is absent, so files written by this package load with a default
-config.
+All three sources load into an ``EventTable``, and the same records give
+equal tables, so a platform export and a live API crawl of them produce
+identical snapshots. Field names are configurable; the defaults follow the
+PyBossa task-run schema (user_id/task_id/project_id/finish_time), and the
+loader falls back to the canonical names (volunteer_id/.../timestamp) when a
+mapped column is absent, so files written by this package load with a
+default config.
 
 Records without a volunteer identifier are anonymous contributions: the
 metrics need a stable identity to link events, so those records are dropped
@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -84,11 +84,9 @@ class IngestConfig:
         "csv-file", "jsonl-file", or "api".
     location:
         file path for file kinds, base URL for the API kind.
-    excluded_projects:
-        projects to drop from the analysis of this source. The loaders do
-        not filter; the ids are carried here so one config describes the
-        whole ingest decision, and they are applied once, when the snapshot
-        is built (see ``build_snapshot``).
+
+    Which projects to leave out is not an ingest decision: the loaders keep
+    every project, and ``build_snapshot(exclusions=...)`` drops them.
     """
 
     kind: str
@@ -97,7 +95,6 @@ class IngestConfig:
     page_size: int = 100
     strict: bool = False
     cache_dir: str | Path | None = None
-    excluded_projects: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if self.kind not in ("csv-file", "jsonl-file", "api"):
@@ -111,15 +108,12 @@ class IngestConfig:
 
 @dataclass
 class IngestResult:
-    """Loaded events plus the tallies lenient mode is accountable for.
-
-    ``events`` is an ``EventTable`` for CSV files and a list of event
-    objects for JSON-lines files and APIs.
+    """Loaded events, in source order, plus the tallies lenient mode accounts for.
 
     Invariant: loaded + dropped_anonymous + skipped_malformed == total_records.
     """
 
-    events: Sequence[TaskExecutionEvent]
+    events: EventTable
     total_records: int = 0
     dropped_anonymous: int = 0
     skipped_malformed: int = 0
@@ -279,29 +273,47 @@ def _load_csv(config: IngestConfig) -> IngestResult:
     )
 
 
+def _load_records(
+    records: Iterable[tuple[str, int, Any]],
+    config: IngestConfig,
+    decode: Callable[[Any], Any] | None = None,
+) -> IngestResult:
+    """Normalize ``(source, position, record)`` triples into an ``EventTable``.
+
+    The record loop of the JSON-lines and API loaders. ``decode`` turns a
+    raw record into its JSON value first; a record that fails to decode is
+    malformed. ``position`` locates a record in strict-mode errors.
+    """
+    events: list[TaskExecutionEvent] = []
+    total = dropped = skipped = 0
+    for source, position, record in records:
+        total += 1
+        try:
+            obj = decode(record) if decode else record
+            if not isinstance(obj, dict):
+                raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+            events.append(_event_from_mapping(obj, config.field_map))
+        except _Anonymous:
+            dropped += 1
+        except ValueError as exc:  # InvalidTimestampError and JSONDecodeError included
+            skipped += 1
+            if config.strict:
+                raise MalformedRowError(source, position, str(exc)) from exc
+    return IngestResult(
+        events=EventTable.from_events(events),
+        total_records=total,
+        dropped_anonymous=dropped,
+        skipped_malformed=skipped,
+    )
+
+
 def _load_jsonl(config: IngestConfig) -> IngestResult:
     path = Path(config.location)
-    result = IngestResult(events=[])
+    source = str(path)
     with path.open(encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            result.total_records += 1
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-                event = _event_from_mapping(obj, config.field_map)
-            except _Anonymous:
-                result.dropped_anonymous += 1
-                continue
-            except (ValueError, InvalidTimestampError) as exc:
-                result.skipped_malformed += 1
-                if config.strict:
-                    raise MalformedRowError(str(path), line_number, str(exc)) from exc
-                continue
-            result.events.append(event)
-    return result
+        lines = enumerate(handle, start=1)
+        records = ((source, number, line) for number, line in lines if line.strip())
+        return _load_records(records, config, decode=json.loads)
 
 
 def _cache_path(cache_dir: Path, url: str) -> Path:
@@ -391,34 +403,24 @@ def fetch_api(
         import requests
 
         session = requests.Session()
+    return _load_records(_api_records(config, session, sleep), config)
+
+
+def _api_records(config: IngestConfig, session: Any, sleep: Callable[[float], None]):
+    """Yield ``(page url, index in page, record)`` page by page until a short page."""
     base = config.location.rstrip("/")
     cache_dir = Path(config.cache_dir) if config.cache_dir is not None else None
-    result = IngestResult(events=[])
     offset = 0
     while True:
         url = f"{base}/api/taskrun?limit={config.page_size}&offset={offset}"
         page = _get_page(url, session, sleep, cache_dir)
         if not isinstance(page, list):
             raise SchemaError(f"{url}: expected a JSON array, got {type(page).__name__}")
-        for index, obj in enumerate(page):
-            result.total_records += 1
-            try:
-                if not isinstance(obj, dict):
-                    raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-                event = _event_from_mapping(obj, config.field_map)
-            except _Anonymous:
-                result.dropped_anonymous += 1
-                continue
-            except (ValueError, InvalidTimestampError) as exc:
-                result.skipped_malformed += 1
-                if config.strict:
-                    raise MalformedRowError(url, index, str(exc)) from exc
-                continue
-            result.events.append(event)
+        for index, record in enumerate(page):
+            yield url, index, record
         if len(page) < config.page_size:
-            break
+            return
         offset += config.page_size
-    return result
 
 
 def load_events(config: IngestConfig, **api_kwargs: Any) -> IngestResult:
@@ -429,8 +431,12 @@ def load_events(config: IngestConfig, **api_kwargs: Any) -> IngestResult:
 
 
 def format_timestamp(timestamp) -> str:
-    """Render a UTC instant in the canonical CSV form (trailing Z)."""
-    return timestamp.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Render a UTC instant in the canonical CSV form (trailing Z).
+
+    Whole seconds give ``YYYY-MM-DDTHH:MM:SSZ``; any other instant keeps
+    its microseconds (``.ffffff``), so re-reading the text gives it back.
+    """
+    return timestamp.replace(tzinfo=None).isoformat() + "Z"
 
 
 def write_events_csv(events: Iterable[TaskExecutionEvent], path: str | Path) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .events import ProjectProfile, VolunteerProfile
+from .events import ProjectProfile
 
 
 @dataclass(frozen=True)
@@ -55,24 +55,23 @@ def balance_in_recruitment(project: ProjectProfile) -> BalanceValue:
     return signed_balance(project.inherited_count, project.recruited_count)
 
 
-def balance_in_computing(
-    project: ProjectProfile, task_counts: Mapping[str, int]
-) -> BalanceValue:
+def balance_in_computing(project: ProjectProfile) -> BalanceValue:
     """Compare mean tasks per inherited volunteer vs per recruited volunteer.
 
-    ``task_counts`` maps volunteer_id to that volunteer's task count within
-    this project. A side with no members leaves its mean undefined, so the
-    result is Unbounded in the direction of the side that is present.
+    The means are the project's task counts on each side over the side's
+    volunteer count. A side with no members leaves its mean undefined, so
+    the result is Unbounded in the direction of the side that is present.
     """
-    if not project.volunteers:
+    if not project.inherited_count and not project.recruited_count:
         raise ValueError(f"project {project.project_id!r} has no volunteers")
-    if not project.inherited:
+    if not project.inherited_count:
         return Unbounded(-1)
-    if not project.recruited:
+    if not project.recruited_count:
         return Unbounded(1)
-    inherited_mean = sum(task_counts[v] for v in project.inherited) / len(project.inherited)
-    recruited_mean = sum(task_counts[v] for v in project.recruited) / len(project.recruited)
-    return signed_balance(inherited_mean, recruited_mean)
+    return signed_balance(
+        project.inherited_task_count / project.inherited_count,
+        project.recruited_task_count / project.recruited_count,
+    )
 
 
 @dataclass(frozen=True)
@@ -88,39 +87,19 @@ class ProjectBalances:
     computing: BalanceValue
 
 
-def compute_project_balances(
-    projects: Mapping[str, ProjectProfile],
-    volunteers: Mapping[str, VolunteerProfile],
-) -> dict[str, ProjectBalances]:
-    """Compute both balances for every project. Order-independent.
-
-    Reads only the counts on the project profiles; ``volunteers`` stays in
-    the signature for the callers that pass it.
-    """
+def compute_project_balances(projects: Mapping[str, ProjectProfile]) -> dict[str, ProjectBalances]:
+    """Compute both balances for every project, read from its counts. Order-independent."""
     results: dict[str, ProjectBalances] = {}
     for project_id in sorted(projects):
         project = projects[project_id]
-        inherited_count = project.inherited_count
-        recruited_count = project.recruited_count
-        mean_inherited = (
-            project.inherited_task_count / inherited_count if inherited_count else None
-        )
-        mean_recruited = (
-            project.recruited_task_count / recruited_count if recruited_count else None
-        )
-        if not inherited_count:
-            computing: BalanceValue = Unbounded(-1)
-        elif not recruited_count:
-            computing = Unbounded(1)
-        else:
-            computing = signed_balance(mean_inherited, mean_recruited)
+        inherited, recruited = project.inherited_count, project.recruited_count
         results[project_id] = ProjectBalances(
             project_id=project_id,
-            inherited_count=inherited_count,
-            recruited_count=recruited_count,
-            mean_tasks_inherited=mean_inherited,
-            mean_tasks_recruited=mean_recruited,
+            inherited_count=inherited,
+            recruited_count=recruited,
+            mean_tasks_inherited=project.inherited_task_count / inherited if inherited else None,
+            mean_tasks_recruited=project.recruited_task_count / recruited if recruited else None,
             recruitment=balance_in_recruitment(project),
-            computing=computing,
+            computing=balance_in_computing(project),
         )
     return results

@@ -148,7 +148,7 @@ def build_report(
     metrics = compute_volunteer_metrics(
         volunteers, projects, snapshot.observation_end, options.availability
     )
-    balances = compute_project_balances(projects, volunteers)
+    balances = compute_project_balances(projects)
 
     try:
         gini_recruitment = recruitment_inequality(projects)

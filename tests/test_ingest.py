@@ -1,7 +1,7 @@
 """CSV and JSON-lines ingestion: field mapping, tallies, strict mode."""
 
 import json
-from datetime import datetime
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -411,6 +411,15 @@ class TestWriteEventsCsv:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "volunteer_id,task_id,project_id,timestamp"
         assert lines[1] == "u1,t1,p1,2014-01-01T10:00:00Z"
+
+    @given(st.lists(st.datetimes(timezones=st.just(timezone.utc)), min_size=1, max_size=5))
+    @example([datetime(2014, 1, 1, 0, 0, 0, 300_000, tzinfo=timezone.utc)])
+    @example([datetime(999, 12, 31, 23, 59, 59, tzinfo=timezone.utc)])
+    def test_instants_survive_the_round_trip(self, tmp_path_factory, instants):
+        events = [ev("u", f"t{i}", "p", instant) for i, instant in enumerate(instants)]
+        path = tmp_path_factory.mktemp("round") / "out.csv"
+        write_events_csv(events, path)
+        assert load_file(IngestConfig(kind="csv-file", location=str(path), strict=True)).events == events
 
     def test_empty_collection_writes_header_only(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -13,6 +13,7 @@ from urllib.parse import parse_qs, urlparse
 import pytest
 import requests
 
+from crowdmetrics.events import EventTable
 from crowdmetrics.ingest import (
     BACKOFF_BASE_SECONDS,
     MAX_API_ATTEMPTS,
@@ -22,6 +23,7 @@ from crowdmetrics.ingest import (
     SchemaError,
     fetch_api,
     load_events,
+    write_events_csv,
 )
 
 BASE = "http://platform.test"
@@ -134,6 +136,77 @@ class TestPaging:
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError):
             fetch_api(IngestConfig(kind="csv-file", location="x"))
+
+
+def stamped(user, task, when):
+    return {"user_id": user, "task_id": task, "project_id": "p", "finish_time": when}
+
+
+#: Records every loader path must treat alike: 6 kept, 3 anonymous, 7 malformed.
+DIRTY_RECORDS = [
+    record(1),
+    stamped(None, "t", "2014-01-01T00:00:00"),
+    {"task_id": "t", "project_id": "p", "finish_time": "2014-01-01T00:00:00"},
+    stamped("  ", "t", "2014-01-01T00:00:00"),
+    [1, 2, 3],  # the first malformed record: JSONL line 5, API page 2 index 0
+    "not an object",
+    None,
+    17,
+    stamped("u", "t", "not a date"),
+    stamped("u", "t", 1_400_000_000),
+    stamped("u", "", "2014-01-01T00:00:00"),
+    stamped(7, 8, "2014-01-01T00:00:00.300Z"),
+    stamped("u", "t9", "2014-01-01T02:00:00.700+02:00"),
+    stamped("u", "t9", "2014-01-01T00:00:00.000001"),
+    record(2),
+    record(3),
+]
+
+
+def paged_session(records, page_size):
+    return StubSession(
+        {
+            page_url(offset, page_size): [StubResponse(records[offset:offset + page_size])]
+            for offset in range(0, len(records) + 1, page_size)
+        }
+    )
+
+
+class TestLoaderEquivalence:
+    """The JSONL and API loaders share one record loop and return tables."""
+
+    def load_both(self, tmp_path, strict=False):
+        path = tmp_path / "events.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in DIRTY_RECORDS), encoding="utf-8")
+        jsonl = load_events(IngestConfig(kind="jsonl-file", location=str(path), strict=strict))
+        api = fetch_api(
+            config(page_size=4, strict=strict), session=paged_session(DIRTY_RECORDS, 4), sleep=lambda s: None
+        )
+        return jsonl, api
+
+    def test_dirty_records_give_equal_tables_and_tallies(self, tmp_path):
+        jsonl, api = self.load_both(tmp_path)
+        csv_path = tmp_path / "events.csv"
+        write_events_csv(jsonl.events, csv_path)
+        from_csv = load_events(IngestConfig(kind="csv-file", location=str(csv_path)))
+        for result in (jsonl, api, from_csv):
+            assert isinstance(result.events, EventTable)
+        assert api.events == jsonl.events
+        assert from_csv.events == jsonl.events
+        assert [e.volunteer_id for e in jsonl.events] == ["u1", "7", "u", "u", "u2", "u3"]
+        for result in (jsonl, api):
+            assert (result.total_records, result.dropped_anonymous, result.skipped_malformed) == (16, 3, 7)
+
+    def test_strict_errors_keep_their_locations(self, tmp_path):
+        with pytest.raises(MalformedRowError) as from_jsonl:
+            self.load_both(tmp_path, strict=True)
+        assert from_jsonl.value.line_number == 5  # 1-based line
+        session = paged_session(DIRTY_RECORDS, 4)
+        with pytest.raises(MalformedRowError) as from_api:
+            fetch_api(config(page_size=4, strict=True), session=session, sleep=lambda s: None)
+        assert (from_api.value.source, from_api.value.line_number) == (page_url(4, 4), 0)
+        assert from_jsonl.value.reason == from_api.value.reason == "expected a JSON object, got list"
+        assert session.calls == [page_url(0, 4), page_url(4, 4)]
 
 
 class TestRetries:

@@ -14,7 +14,7 @@ from crowdmetrics.projects import (
     signed_balance,
 )
 from test_events import event_lists
-from testkit import ev
+from testkit import ev, volunteer_oracle
 
 # Balance operands are volunteer counts or mean task counts: 0 when a side
 # is empty, otherwise >= 1.
@@ -117,19 +117,20 @@ class TestProjectBalances:
         project, counts = project_with(
             inherited=["a"], recruited=["b", "c"], task_counts={"a": 4, "b": 3, "c": 1}
         )
-        assert balance_in_computing(project, counts) == 1.0
+        assert balance_in_computing(project) == 1.0
 
     def test_computing_unbounded_sides(self):
         project, counts = project_with(inherited=[], recruited=["a"])
-        assert balance_in_computing(project, counts) == Unbounded(-1)
+        assert balance_in_computing(project) == Unbounded(-1)
         project, counts = project_with(inherited=["a"], recruited=[])
-        assert balance_in_computing(project, counts) == Unbounded(1)
+        assert balance_in_computing(project) == Unbounded(1)
 
     @given(event_lists())
     def test_full_computation_consistency(self, events):
         snap = build_snapshot(events)
         volunteers, projects = derive_profiles(snap)
-        balances = compute_project_balances(projects, volunteers)
+        balances = compute_project_balances(projects)
+        oracle = volunteer_oracle(snap.events)
         assert set(balances) == set(projects)
         for pid, balance in balances.items():
             project = projects[pid]
@@ -145,6 +146,22 @@ class TestProjectBalances:
                 assert balance.mean_tasks_inherited == pytest.approx(expected)
             else:
                 assert balance.mean_tasks_inherited is None
+            # computing balance vs the oracle's own recount of each side
+            by_side = {True: [], False: []}  # recruited here or not
+            for fact in oracle.values():
+                if pid in fact["tasks_by_project"]:
+                    by_side[fact["first_project"] == pid].append(fact["tasks_by_project"][pid])
+            recruited, inherited = by_side[True], by_side[False]
+            mean_recruited = sum(recruited) / len(recruited) if recruited else None
+            assert balance.mean_tasks_recruited == mean_recruited
+            if not inherited:
+                assert balance.computing == Unbounded(-1)
+            elif not recruited:
+                assert balance.computing == Unbounded(1)
+            else:
+                assert balance.computing == signed_balance(
+                    sum(inherited) / len(inherited), mean_recruited
+                )
             for value in (balance.recruitment, balance.computing):
                 if not isinstance(value, Unbounded):
                     assert not math.isnan(value) and not math.isinf(value)

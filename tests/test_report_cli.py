@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from crowdmetrics.cli import main
 from crowdmetrics.events import build_snapshot
-from crowdmetrics.ingest import format_timestamp, write_events_csv
+from crowdmetrics.ingest import IngestConfig, format_timestamp, load_events, write_events_csv
 from crowdmetrics.report import (
     ACTIVITY_GROUPS,
     ARTIFACT_NAMES,
@@ -276,6 +276,23 @@ class TestCli:
         assert run_cli("ingest", "--input", str(event_csv), "--out", str(out)) == 0
         header = out.read_text().splitlines()[0]
         assert header == "volunteer_id,task_id,project_id,timestamp"
+
+    def test_ingest_keeps_sub_second_instants(self, tmp_path, capsys):
+        # t1 is re-submitted 0.4 s apart: the source keeps pB, the earlier
+        # record; cut to whole seconds the two would tie and pA would win
+        records = [
+            {"user_id": "u1", "task_id": "t1", "project_id": "pB", "finish_time": "2014-01-01T00:00:00.300Z"},
+            {"user_id": "u1", "task_id": "t1", "project_id": "pA", "finish_time": "2014-01-01T00:00:00.700Z"},
+            {"user_id": "u2", "task_id": "t2", "project_id": "pA", "finish_time": "2014-01-02T00:00:00Z"},
+        ]
+        source = tmp_path / "events.jsonl"
+        source.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        out = tmp_path / "normalized.csv"
+        assert run_cli("ingest", "--input", str(source), "--format", "jsonl", "--out", str(out)) == 0
+        expected = build_snapshot(load_events(IngestConfig(kind="jsonl-file", location=str(source))).events)
+        ingested = build_snapshot(load_events(IngestConfig(kind="csv-file", location=str(out))).events)
+        assert ingested == expected
+        assert [e.project_id for e in ingested.events] == ["pB", "pA"]
 
     def test_validate_ok(self, event_csv, capsys):
         assert run_cli("validate", "--input", str(event_csv)) == 0
