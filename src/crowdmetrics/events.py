@@ -14,11 +14,12 @@ sets are built only when a caller reads them.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
-from itertools import compress
+from itertools import compress, count
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -92,15 +93,16 @@ def parse_timestamp(raw: str) -> datetime:
     if tz is timezone.utc:
         # already the UTC singleton, astimezone would be an expensive no-op
         return parsed
-    return parsed.astimezone(timezone.utc)
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError as exc:  # the offset moves it past year 1 or 9999
+        raise InvalidTimestampError(f"timestamp out of range: {raw!r}") from exc
 
 
 #: Character positions of the canonical ``YYYY-MM-DDTHH:MM:SSZ`` form.
 _CANONICAL_SEPARATORS = ((4, "-"), (7, "-"), (10, "T"), (13, ":"), (16, ":"), (19, "Z"))
 _CANONICAL_NUMBERS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
-#: Values parsed per vectorised step; bounds the temporaries to a few MB.
-_PARSE_CHUNK = 1 << 16
 
 
 def parse_canonical_timestamps(raw: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -111,22 +113,13 @@ def parse_canonical_timestamps(raw: Sequence[str]) -> tuple[np.ndarray, np.ndarr
     a real instant; every other value, including canonical-shaped ones such
     as ``2014-02-30T00:00:00Z``, is left out of the mask for
     ``parse_timestamp``, so callers keep its results and error messages.
+    The temporaries grow with ``len(raw)``: callers pass bounded blocks.
     """
     count = len(raw)
     micros = np.zeros(count, dtype=np.int64)
     parsed = np.fromiter(map(len, raw), dtype=np.int32, count=count) == 20
-    for start in range(0, count, _PARSE_CHUNK):
-        stop = min(start + _PARSE_CHUNK, count)
-        shaped = parsed[start:stop]
-        if shaped.all():
-            chunk_micros, valid = _parse_canonical(raw[start:stop])
-            micros[start:stop] = chunk_micros
-        elif shaped.any():
-            chunk_micros, valid = _parse_canonical(list(compress(raw[start:stop], shaped.tolist())))
-            micros[start:stop][shaped] = chunk_micros
-        else:
-            continue
-        shaped[shaped] = valid  # a view: updates ``parsed``
+    if parsed.any():  # targets are assigned left to right: ``micros`` reads the shape mask
+        micros[parsed], parsed[parsed] = _parse_canonical(list(compress(raw, parsed.tolist())))
     return micros, parsed
 
 
@@ -181,13 +174,6 @@ def _sort_codes(ids: tuple[str, ...], codes: np.ndarray) -> tuple[tuple[str, ...
     remap = np.empty(len(ids), dtype=np.int32)
     remap[order] = np.arange(len(ids), dtype=np.int32)
     return tuple(map(ids.__getitem__, order.tolist())), remap[codes]
-
-
-def _encode(column: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The distinct ids of ``column`` sorted as Python strings, and its codes."""
-    table = tuple(sorted(set(column)))
-    rank = dict(zip(table, range(len(table))))
-    return table, np.fromiter(map(rank.__getitem__, column), dtype=np.int32, count=len(column))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -253,7 +239,7 @@ class EventTable(Sequence):
 
     @classmethod
     def from_events(cls, events: Iterable[TaskExecutionEvent]) -> EventTable:
-        """Encode event objects, e.g. from the JSONL or API loaders or ``synth``.
+        """Encode event objects, e.g. from ``synth``, for ``build_snapshot``.
 
         Raises:
             ValueError: an event carries an empty id.
@@ -263,11 +249,13 @@ class EventTable(Sequence):
         if not (all(volunteers) and all(tasks) and all(projects)):
             event = next(e for e in events if not all(e[:3]))
             raise ValueError(f"event with empty id field: {event!r}")
-        volunteer_ids, volunteer = _encode(volunteers)
-        task_ids, task = _encode(tasks)
-        project_ids, project = _encode(projects)
+        tables = [defaultdict(count().__next__) for _ in range(3)]  # id -> code, in arrival order
+        codes = [
+            np.fromiter(map(table.__getitem__, ids), dtype=np.int32, count=len(ids))
+            for table, ids in zip(tables, (volunteers, tasks, projects))
+        ]
         micros = np.fromiter(map(to_micros, timestamps), dtype=np.int64, count=len(timestamps))
-        return cls(volunteer_ids, task_ids, project_ids, volunteer, task, project, micros)
+        return cls.from_codes(*tables, *codes, micros)
 
     def take(self, rows: np.ndarray) -> EventTable:
         """The events at ``rows``, in that order, with unused ids dropped."""

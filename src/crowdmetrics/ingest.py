@@ -8,11 +8,15 @@ loader falls back to the canonical names (volunteer_id/.../timestamp) when a
 mapped column is absent, so files written by this package load with a
 default config.
 
+Each loader only reads and checks records; one column builder codes the ids
+of every source and parses its timestamps in bounded blocks.
+
 Records without a volunteer identifier are anonymous contributions: the
 metrics need a stable identity to link events, so those records are dropped
-and tallied rather than guessed at. Malformed records raise in strict mode
-and are skipped-and-tallied in lenient mode (the default, because real
-exports are messy).
+and tallied rather than guessed at. Malformed records raise in strict mode,
+the first in record order, and are skipped-and-tallied in lenient mode (the
+default, because real exports are messy). Text inputs are read as UTF-8,
+ignoring a leading byte-order mark.
 """
 
 from __future__ import annotations
@@ -22,10 +26,12 @@ import hashlib
 import json
 import logging
 import os
-import sys
 import time
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import count
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
@@ -56,6 +62,9 @@ CSV_HEADER = list(CANONICAL_FIELDS)
 
 MAX_API_ATTEMPTS = 5
 BACKOFF_BASE_SECONDS = 0.5
+
+#: Rows per timestamp block; bounds the raw strings held and the parse's temporaries.
+_PARSE_CHUNK = 1 << 16
 
 
 class MalformedRowError(ValueError):
@@ -123,12 +132,8 @@ class IngestResult:
         return len(self.events)
 
 
-class _Anonymous(Exception):
-    """Internal marker: record has no volunteer identity."""
-
-
-def _event_from_mapping(obj: Mapping[str, Any], field_map: Mapping[str, str]) -> TaskExecutionEvent:
-    """Normalize one JSON-ish record; mapped field names win over canonical."""
+def _fields_from_mapping(obj: Mapping[str, Any], field_map: Mapping[str, str]) -> tuple[str, str, str, str] | None:
+    """Volunteer, task, project and raw timestamp of a JSON-ish record (mapped names win); None if anonymous."""
 
     def pick(canonical: str) -> Any:
         value = obj.get(field_map[canonical])
@@ -138,7 +143,7 @@ def _event_from_mapping(obj: Mapping[str, Any], field_map: Mapping[str, str]) ->
 
     volunteer = pick("volunteer_id")
     if volunteer is None or str(volunteer).strip() == "":
-        raise _Anonymous()
+        return None
     task = pick("task_id")
     project = pick("project_id")
     raw_timestamp = pick("timestamp")
@@ -148,12 +153,79 @@ def _event_from_mapping(obj: Mapping[str, Any], field_map: Mapping[str, str]) ->
         raise ValueError("missing project_id")
     if not isinstance(raw_timestamp, str):
         raise ValueError(f"missing or non-string timestamp: {raw_timestamp!r}")
-    return TaskExecutionEvent(
-        volunteer_id=sys.intern(str(volunteer).strip()),
-        task_id=str(task).strip(),
-        project_id=sys.intern(str(project).strip()),
-        timestamp=parse_timestamp(raw_timestamp),
-    )
+    return str(volunteer).strip(), str(task).strip(), str(project).strip(), raw_timestamp
+
+
+def _column_builder(strict: bool):
+    """Every loader's columns, built a row at a time.
+
+    Returns four closures (not methods: ``add`` runs once per row).
+    ``add(volunteer, task, project, raw_timestamp, source, position)`` codes
+    ids in arrival order and holds the raw timestamp, and in strict mode its
+    location, until the block ends: after ``_PARSE_CHUNK`` rows or at
+    ``end_block()``, which parses canonical values in one vectorised pass and
+    the rest by ``parse_timestamp``. ``reject(source, position, reason)``
+    tallies a malformed row or, in strict mode, raises it once the rows
+    before it are parsed, so the first bad record is the one reported.
+    ``finish(total, dropped)`` returns the ``IngestResult``.
+    """
+    # id -> code; a new id gets the next code, so codes follow arrival order
+    volunteer_codes: dict[str, int] = defaultdict(count().__next__)
+    task_codes: dict[str, int] = defaultdict(count().__next__)
+    project_codes: dict[str, int] = defaultdict(count().__next__)
+    volunteers, tasks, projects = array("i"), array("i"), array("i")
+    micros_blocks = [np.zeros(0, dtype=np.int64)]
+    kept_blocks = [np.zeros(0, dtype=bool)]
+    stamps: list[str] = []
+    locations: list[tuple[str, int]] = []  # (source, position) of each held row, in strict mode only
+    skipped = 0
+    block_rows = _PARSE_CHUNK
+    add_volunteer, add_task, add_project = volunteers.append, tasks.append, projects.append
+    add_stamp, add_location = stamps.append, locations.append
+
+    def add(volunteer: str, task: str, project: str, raw_timestamp: str, source: str, position: int) -> None:
+        add_volunteer(volunteer_codes[volunteer])
+        add_task(task_codes[task])
+        add_project(project_codes[project])
+        add_stamp(raw_timestamp)
+        if strict:
+            add_location((source, position))
+        if len(stamps) == block_rows:
+            end_block()
+
+    def end_block() -> None:
+        nonlocal skipped
+        micros, parsed = parse_canonical_timestamps(stamps)
+        for index in np.flatnonzero(~parsed).tolist():
+            try:
+                micros[index] = to_micros(parse_timestamp(stamps[index]))
+            except InvalidTimestampError as exc:
+                if strict:
+                    raise MalformedRowError(*locations[index], str(exc)) from exc
+                skipped += 1
+            else:
+                parsed[index] = True
+        micros_blocks.append(micros)
+        kept_blocks.append(parsed)
+        stamps.clear()
+        locations.clear()
+
+    def reject(source: str, position: int, reason: str) -> None:
+        nonlocal skipped
+        if strict:
+            end_block()
+            raise MalformedRowError(source, position, reason)
+        skipped += 1
+
+    def finish(total: int, dropped: int) -> IngestResult:
+        end_block()
+        kept = np.concatenate(kept_blocks)
+        codes = [np.frombuffer(column, dtype=np.int32)[kept] for column in (volunteers, tasks, projects)]
+        micros = np.concatenate(micros_blocks)[kept]
+        events = EventTable.from_codes(volunteer_codes, task_codes, project_codes, *codes, micros)
+        return IngestResult(events, total_records=total, dropped_anonymous=dropped, skipped_malformed=skipped)
+
+    return add, end_block, reject, finish
 
 
 def load_file(config: IngestConfig) -> IngestResult:
@@ -169,6 +241,15 @@ def load_file(config: IngestConfig) -> IngestResult:
     if config.kind == "jsonl-file":
         return _load_jsonl(config)
     raise ValueError(f"load_file cannot handle source kind {config.kind!r}")
+
+
+def _read_header(reader, source: str) -> list[str]:
+    try:
+        return next(reader)
+    except StopIteration:
+        raise SchemaError(f"{source}: empty file, expected a header row") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise SchemaError(f"{source}: unreadable header row: {exc}") from exc
 
 
 def _resolve_csv_columns(header: list[str], field_map: Mapping[str, str], source: str) -> dict[str, int]:
@@ -188,132 +269,84 @@ def _resolve_csv_columns(header: list[str], field_map: Mapping[str, str], source
 
 
 def _load_csv(config: IngestConfig) -> IngestResult:
-    """Read a CSV export into an ``EventTable``.
-
-    The row loop only checks fields and codes ids; timestamps are parsed
-    after it, canonical ``Z`` values in one vectorised pass and every other
-    value by ``parse_timestamp``, so tallies and strict-mode errors match a
-    row-by-row parse.
-    """
-    from array import array
-
+    """Read a CSV export into an ``EventTable``: row checks here, the rest in the column builder."""
     path = Path(config.location)
     source = str(path)
-    volunteer_codes: dict[str, int] = {}
-    task_codes: dict[str, int] = {}
-    project_codes: dict[str, int] = {}
-    volunteers, tasks, projects = array("i"), array("i"), array("i")
-    line_numbers = array("q")  # of each kept row, in strict mode only
-    stamps: list[str] = []
-    # strict mode: a row error found in the loop is raised only after the
-    # timestamps of the rows before it have been checked
-    row_error: MalformedRowError | None = None
-    with path.open(newline="", encoding="utf-8") as handle:
+    add, _, reject, finish = _column_builder(config.strict)
+    total = dropped = 0
+    # utf-8-sig: a byte-order mark, as Excel's "CSV UTF-8" writes, is never data
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row") from None
-        columns = _resolve_csv_columns(header, config.field_map, source)
-        v_col = columns["volunteer_id"]
-        t_col = columns["task_id"]
-        p_col = columns["project_id"]
-        ts_col = columns["timestamp"]
+        columns = _resolve_csv_columns(_read_header(reader, source), config.field_map, source)
+        v_col, t_col, p_col, ts_col = (columns[name] for name in CANONICAL_FIELDS)
         width = max(columns.values()) + 1
-        strict = config.strict
-        add_volunteer, add_task, add_project = volunteers.append, tasks.append, projects.append
-        add_stamp, add_line_number = stamps.append, line_numbers.append
-        total = dropped = skipped = 0
-        for row in reader:
-            if not row:
-                continue  # blank line, not a record
-            total += 1
-            if len(row) < width:
-                skipped += 1
-                if strict:
-                    row_error = MalformedRowError(source, reader.line_num, f"expected >= {width} columns, got {len(row)}")
-                    break
-                continue
-            volunteer = row[v_col].strip()
-            if not volunteer:
-                dropped += 1
-                continue
-            task = row[t_col].strip()
-            project = row[p_col].strip()
-            if not task or not project:
-                skipped += 1
-                if strict:
-                    row_error = MalformedRowError(source, reader.line_num, "missing task_id or project_id")
-                    break
-                continue
-            add_volunteer(volunteer_codes.setdefault(volunteer, len(volunteer_codes)))
-            add_task(task_codes.setdefault(task, len(task_codes)))
-            add_project(project_codes.setdefault(project, len(project_codes)))
-            add_stamp(row[ts_col])
-            if strict:
-                add_line_number(reader.line_num)
-
-    micros, parsed = parse_canonical_timestamps(stamps)
-    for index in np.flatnonzero(~parsed).tolist():
-        try:
-            micros[index] = to_micros(parse_timestamp(stamps[index]))
-        except InvalidTimestampError as exc:
-            skipped += 1
-            if strict:
-                raise MalformedRowError(source, line_numbers[index], str(exc)) from exc
-        else:
-            parsed[index] = True
-    if row_error is not None:
-        raise row_error
-    del stamps  # free the raw strings before the ids are re-coded
-    codes = [np.frombuffer(column, dtype=np.int32)[parsed] for column in (volunteers, tasks, projects)]
-    events = EventTable.from_codes(volunteer_codes, task_codes, project_codes, *codes, micros[parsed])
-    return IngestResult(
-        events=events, total_records=total, dropped_anonymous=dropped, skipped_malformed=skipped
-    )
+        while True:
+            try:
+                for row in reader:
+                    if not row:
+                        continue  # blank line, not a record
+                    total += 1
+                    if len(row) < width:
+                        reject(source, reader.line_num, f"expected >= {width} columns, got {len(row)}")
+                        continue
+                    volunteer = row[v_col].strip()
+                    if not volunteer:
+                        dropped += 1
+                        continue
+                    task = row[t_col].strip()
+                    project = row[p_col].strip()
+                    if not task or not project:
+                        reject(source, reader.line_num, "missing task_id or project_id")
+                        continue
+                    add(volunteer, task, project, row[ts_col], source, reader.line_num)
+            except csv.Error as exc:  # e.g. a field over csv.field_size_limit(); the reader reads on
+                total += 1
+                reject(source, reader.line_num, str(exc))
+            else:
+                break
+    return finish(total, dropped)
 
 
 def _load_records(
-    records: Iterable[tuple[str, int, Any]],
+    pages: Iterable[tuple[str, Iterable[tuple[int, Any]]]],
     config: IngestConfig,
     decode: Callable[[Any], Any] | None = None,
 ) -> IngestResult:
-    """Normalize ``(source, position, record)`` triples into an ``EventTable``.
+    """The record loop of the JSON-lines and API loaders, over ``(source, [(position, record)])`` pages.
 
-    The record loop of the JSON-lines and API loaders. ``decode`` turns a
-    raw record into its JSON value first; a record that fails to decode is
-    malformed. ``position`` locates a record in strict-mode errors.
+    ``decode`` turns a raw record into its JSON value first; a record that
+    fails to decode is malformed. Each page ends a timestamp block, so strict
+    mode fails on a bad page before the next one is fetched.
     """
-    events: list[TaskExecutionEvent] = []
-    total = dropped = skipped = 0
-    for source, position, record in records:
-        total += 1
-        try:
-            obj = decode(record) if decode else record
-            if not isinstance(obj, dict):
-                raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-            events.append(_event_from_mapping(obj, config.field_map))
-        except _Anonymous:
-            dropped += 1
-        except ValueError as exc:  # InvalidTimestampError and JSONDecodeError included
-            skipped += 1
-            if config.strict:
-                raise MalformedRowError(source, position, str(exc)) from exc
-    return IngestResult(
-        events=EventTable.from_events(events),
-        total_records=total,
-        dropped_anonymous=dropped,
-        skipped_malformed=skipped,
-    )
+    add, end_block, reject, finish = _column_builder(config.strict)
+    field_map = config.field_map
+    total = dropped = 0
+    for source, records in pages:
+        for position, record in records:
+            total += 1
+            try:
+                obj = decode(record) if decode else record
+                if not isinstance(obj, dict):
+                    raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+                fields = _fields_from_mapping(obj, field_map)
+            # JSONDecodeError is a ValueError; json.loads raises RecursionError on deep nesting
+            except (ValueError, RecursionError) as exc:
+                reject(source, position, str(exc))
+                continue
+            if fields is None:
+                dropped += 1
+            else:
+                add(*fields, source, position)
+        end_block()
+    return finish(total, dropped)
 
 
 def _load_jsonl(config: IngestConfig) -> IngestResult:
     path = Path(config.location)
-    source = str(path)
-    with path.open(encoding="utf-8") as handle:
-        lines = enumerate(handle, start=1)
-        records = ((source, number, line) for number, line in lines if line.strip())
-        return _load_records(records, config, decode=json.loads)
+    # utf-8-sig: a byte-order mark is never data
+    with path.open(encoding="utf-8-sig") as handle:
+        records = ((number, line) for number, line in enumerate(handle, start=1) if line.strip())
+        return _load_records([(str(path), records)], config, decode=json.loads)
 
 
 def _cache_path(cache_dir: Path, url: str) -> Path:
@@ -403,11 +436,11 @@ def fetch_api(
         import requests
 
         session = requests.Session()
-    return _load_records(_api_records(config, session, sleep), config)
+    return _load_records(_api_pages(config, session, sleep), config)
 
 
-def _api_records(config: IngestConfig, session: Any, sleep: Callable[[float], None]):
-    """Yield ``(page url, index in page, record)`` page by page until a short page."""
+def _api_pages(config: IngestConfig, session: Any, sleep: Callable[[float], None]):
+    """Yield ``(page url, enumerate(records))`` page by page until a short page."""
     base = config.location.rstrip("/")
     cache_dir = Path(config.cache_dir) if config.cache_dir is not None else None
     offset = 0
@@ -416,8 +449,7 @@ def _api_records(config: IngestConfig, session: Any, sleep: Callable[[float], No
         page = _get_page(url, session, sleep, cache_dir)
         if not isinstance(page, list):
             raise SchemaError(f"{url}: expected a JSON array, got {type(page).__name__}")
-        for index, record in enumerate(page):
-            yield url, index, record
+        yield url, enumerate(page)
         if len(page) < config.page_size:
             return
         offset += config.page_size
@@ -471,31 +503,30 @@ def load_registration_dates(path: str | Path) -> dict[str, datetime]:
     """
     source = str(path)
     registrations: dict[str, datetime] = {}
-    with Path(path).open(newline="", encoding="utf-8") as handle:
+    with Path(path).open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{source}: empty file, expected a header row") from None
-        positions = {name.strip(): i for i, name in enumerate(header)}
+        positions = {name.strip(): i for i, name in enumerate(_read_header(reader, source))}
         try:
             v_col = positions["volunteer_id"]
             ts_col = positions["registered_at"]
         except KeyError as exc:
             raise SchemaError(f"{source}: header must name volunteer_id and registered_at") from exc
         width = max(v_col, ts_col) + 1
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                raise MalformedRowError(source, reader.line_num, f"expected >= {width} columns, got {len(row)}")
-            volunteer = row[v_col].strip()
-            if not volunteer:
-                raise MalformedRowError(source, reader.line_num, "missing volunteer_id")
-            if volunteer in registrations:
-                raise MalformedRowError(source, reader.line_num, f"duplicate volunteer_id {volunteer!r}")
-            try:
-                registrations[volunteer] = parse_timestamp(row[ts_col])
-            except InvalidTimestampError as exc:
-                raise MalformedRowError(source, reader.line_num, str(exc)) from exc
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < width:
+                    raise MalformedRowError(source, reader.line_num, f"expected >= {width} columns, got {len(row)}")
+                volunteer = row[v_col].strip()
+                if not volunteer:
+                    raise MalformedRowError(source, reader.line_num, "missing volunteer_id")
+                if volunteer in registrations:
+                    raise MalformedRowError(source, reader.line_num, f"duplicate volunteer_id {volunteer!r}")
+                try:
+                    registrations[volunteer] = parse_timestamp(row[ts_col])
+                except InvalidTimestampError as exc:
+                    raise MalformedRowError(source, reader.line_num, str(exc)) from exc
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise MalformedRowError(source, reader.line_num, str(exc)) from exc
     return registrations

@@ -37,7 +37,17 @@ class TestParseTimestamp:
         parsed = parse_timestamp("2014-07-17T10:00:00.123456")
         assert parsed.microsecond == 123456
 
-    @pytest.mark.parametrize("bad", ["", "not a date", "2014-13-40T99:00:00", "17/07/2014"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "",
+            "not a date",
+            "2014-13-40T99:00:00",
+            "17/07/2014",
+            "0001-01-01T00:00:00+01:00",  # the offset moves it before year 1
+            "9999-12-31T23:00:00-05:00",  # ... or past year 9999
+        ],
+    )
     def test_invalid_raises(self, bad):
         with pytest.raises(InvalidTimestampError):
             parse_timestamp(bad)

@@ -171,6 +171,49 @@ class TestCsv:
         event = load_file(IngestConfig(kind="csv-file", location=str(path))).events[0]
         assert (event.volunteer_id, event.task_id, event.project_id) == ("u1", "t1", "p1")
 
+    def test_field_over_the_csv_limit_is_a_malformed_row(self, tmp_path):
+        huge = "x" * 140_000  # csv's default field_size_limit is 131,072
+        path = tmp_path / "huge.csv"
+        write_lines(
+            path,
+            [
+                "volunteer_id,task_id,project_id,timestamp",
+                "u1,t1,p1,2014-01-01T00:00:00Z",
+                f"u2,{huge},p1,2014-01-01T00:00:00Z",
+                "u3,t3,p1,2014-01-02T00:00:00Z",
+            ],
+        )
+        lenient = load_file(IngestConfig(kind="csv-file", location=str(path)))
+        assert (lenient.loaded, lenient.skipped_malformed, lenient.total_records) == (2, 1, 3)
+        assert [e.volunteer_id for e in lenient.events] == ["u1", "u3"]
+        with pytest.raises(MalformedRowError, match="field larger than field limit") as err:
+            load_file(IngestConfig(kind="csv-file", location=str(path), strict=True))
+        assert err.value.line_number == 3
+
+    def test_header_over_the_csv_limit_is_schema_error(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        write_lines(path, ["volunteer_id,task_id,project_id," + "x" * 140_000])
+        with pytest.raises(SchemaError, match="field larger than field limit"):
+            load_file(IngestConfig(kind="csv-file", location=str(path)))
+
+
+@pytest.mark.parametrize(
+    "kind, lines",
+    [
+        ("csv-file", ["user_id,task_id,project_id,finish_time", "u1,t1,p1,2014-01-01T00:00:00Z"]),
+        ("jsonl-file", ['{"user_id": "u1", "task_id": "t1", "project_id": "p1", "finish_time": "2014-01-01T00:00:00Z"}']),
+    ],
+    ids=["csv", "jsonl"],
+)
+def test_byte_order_mark_is_not_data(tmp_path, kind, lines):
+    # Excel's "CSV UTF-8" export starts the file with U+FEFF
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    write_lines(plain, lines)
+    marked.write_text("\ufeff" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+    results = [load_file(IngestConfig(kind=kind, location=str(path), strict=True)) for path in (plain, marked)]
+    assert results[1].events == results[0].events
+    assert results[1].total_records == results[0].total_records == 1
+
 
 class TestCanonicalTimestamps:
     """The vectorised parse agrees with parse_timestamp wherever it answers."""
@@ -379,6 +422,16 @@ class TestJsonl:
             load_file(IngestConfig(kind="jsonl-file", location=str(path), strict=True))
         assert err.value.line_number == 2
 
+    def test_deeply_nested_line_is_malformed(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        good = {"user_id": "u1", "task_id": "t1", "project_id": "p1", "finish_time": "2014-01-01T00:00:00Z"}
+        write_lines(path, ["[" * 100_000, json.dumps(good)])
+        result = load_file(IngestConfig(kind="jsonl-file", location=str(path)))
+        assert (result.loaded, result.skipped_malformed, result.total_records) == (1, 1, 2)
+        with pytest.raises(MalformedRowError, match="recursion") as err:
+            load_file(IngestConfig(kind="jsonl-file", location=str(path), strict=True))
+        assert err.value.line_number == 1
+
 
 class TestConfigAndDispatch:
     def test_unknown_kind_rejected(self):
@@ -465,12 +518,19 @@ class TestLoadRegistrationDates:
         with pytest.raises(SchemaError, match="empty"):
             load_registration_dates(path)
 
+    def test_byte_order_mark_is_not_data(self, tmp_path):
+        path = tmp_path / "reg.csv"
+        path.write_text("\ufeffvolunteer_id,registered_at\nu1,2013-06-01T08:00:00Z\n", encoding="utf-8")
+        assert load_registration_dates(path) == {"u1": ts("2013-06-01T08:00:00")}
+
     @pytest.mark.parametrize(
         "row, complaint",
         [
             ("u1", "columns"),
             (" ,2013-06-01T08:00:00Z", "missing volunteer_id"),
             ("u1,yesterday", "unparseable"),
+            pytest.param("u1," + "x" * 140_000, "field larger than field limit", id="huge-field"),
+            pytest.param("u1,0001-01-01T00:00:00+01:00", "out of range", id="out-of-range"),
         ],
     )
     def test_bad_rows_always_raise(self, tmp_path, row, complaint):

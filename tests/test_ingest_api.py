@@ -13,6 +13,7 @@ from urllib.parse import parse_qs, urlparse
 import pytest
 import requests
 
+from crowdmetrics import ingest
 from crowdmetrics.events import EventTable
 from crowdmetrics.ingest import (
     BACKOFF_BASE_SECONDS,
@@ -128,10 +129,13 @@ class TestPaging:
         assert result.total_records == 4
 
     def test_strict_mode_raises(self):
-        page = [{"user_id": "u", "task_id": "t", "project_id": "p", "finish_time": "bad"}]
-        session = StubSession({page_url(0): [StubResponse(page)]})
-        with pytest.raises(MalformedRowError):
-            fetch_api(config(strict=True), session=session, sleep=lambda s: None)
+        bad = {"user_id": "u", "task_id": "t", "project_id": "p", "finish_time": "bad"}
+        session = paged_session([record(1), bad, record(2), record(3)], 2)
+        with pytest.raises(MalformedRowError) as err:
+            fetch_api(config(page_size=2, strict=True), session=session, sleep=lambda s: None)
+        assert (err.value.source, err.value.line_number) == (page_url(0, 2), 1)
+        # the bad timestamp fails its page before the next page is requested
+        assert session.calls == [page_url(0, 2)]
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -207,6 +211,78 @@ class TestLoaderEquivalence:
         assert (from_api.value.source, from_api.value.line_number) == (page_url(4, 4), 0)
         assert from_jsonl.value.reason == from_api.value.reason == "expected a JSON object, got list"
         assert session.calls == [page_url(0, 4), page_url(4, 4)]
+
+
+#: (user_id, task_id, project_id, finish_time) rows with every timestamp form
+#: and the row faults all three loaders share. The first bad record is the
+#: canonical-shaped invalid one, before the missing task id.
+BLOCK_ROWS = [
+    ("u1", "t1", "p1", "2014-01-01T00:00:00Z"),
+    ("u2", "t2", "p1", "2014-01-02T03:04:05+02:00"),
+    ("", "t3", "p1", "2014-01-01T00:00:00Z"),
+    ("u3", "t3", "p2", "2014-02-30T00:00:00Z"),
+    ("u1", "t4", "p2", "2014-01-03 10:00:00"),
+    ("u4", "", "p1", "2014-01-01T00:00:00Z"),
+    ("u2", "t5", "p3", "2014-01-04T00:00:00.250Z"),
+    ("u5", "t6", "p3", "yesterday"),
+    ("u5", "t7", "p1", "0001-01-01T00:00:00+01:00"),
+    (" ", "t8", "p1", "2014-01-01T00:00:00Z"),
+] + [(f"u{i % 4}", f"t{i}", f"p{i % 3}", f"2014-02-{i:02d}T12:00:00Z") for i in range(10, 28)] + [
+    ("u9", "t9", "p9", " 2014-03-01T00:00:00Z"),
+    ("u9", "t29", "p9", "2014-03-01T00:00:00.000001"),
+]
+
+
+class TestBlockSize:
+    """Loads do not depend on how many timestamps are parsed at a time."""
+
+    def load_all(self, tmp_path, strict):
+        keys = ("user_id", "task_id", "project_id", "finish_time")
+        records = [dict(zip(keys, row)) for row in BLOCK_ROWS]
+        csv_path, jsonl_path = tmp_path / "events.csv", tmp_path / "events.jsonl"
+        csv_path.write_text(
+            "\n".join(",".join(row) for row in [keys, *BLOCK_ROWS]) + "\n", encoding="utf-8"
+        )
+        jsonl_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        loads = {
+            "csv": lambda: load_events(IngestConfig(kind="csv-file", location=str(csv_path), strict=strict)),
+            "jsonl": lambda: load_events(IngestConfig(kind="jsonl-file", location=str(jsonl_path), strict=strict)),
+            "api": lambda: fetch_api(
+                config(page_size=4, strict=strict), session=paged_session(records, 4), sleep=lambda s: None
+            ),
+        }
+        outcomes = {}
+        for name, load in loads.items():
+            try:
+                result = load()
+            except MalformedRowError as exc:
+                outcomes[name] = (exc.source, exc.line_number, exc.reason)
+            else:
+                tallies = (result.total_records, result.dropped_anonymous, result.skipped_malformed)
+                outcomes[name] = (result.events, tallies)
+        return outcomes
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_loads_do_not_depend_on_block_size(self, tmp_path, monkeypatch, strict):
+        default = ingest._PARSE_CHUNK
+        outcomes = {}
+        for rows in (1, 7, default):
+            monkeypatch.setattr("crowdmetrics.ingest._PARSE_CHUNK", rows)
+            outcomes[rows] = self.load_all(tmp_path, strict)
+        assert outcomes[1] == outcomes[7] == outcomes[default]
+        loaded = outcomes[default]
+        if strict:
+            reason = "unparseable timestamp: '2014-02-30T00:00:00Z'"
+            assert loaded == {
+                "csv": (str(tmp_path / "events.csv"), 5, reason),
+                "jsonl": (str(tmp_path / "events.jsonl"), 4, reason),
+                "api": (page_url(0, 4), 3, reason),
+            }
+        else:
+            assert loaded["csv"] == loaded["jsonl"] == loaded["api"]
+            events, tallies = loaded["csv"]
+            assert tallies == (30, 2, 4)
+            assert len(events) == 24
 
 
 class TestRetries:

@@ -398,9 +398,30 @@ class TestCli:
             run_cli("metrics", "--input", str(event_csv), "--out", str(tmp_path / "out"))
 
     def test_bad_observation_end_is_usage_error(self, event_csv):
-        with pytest.raises(SystemExit) as err:
-            run_cli("metrics", "--input", str(event_csv), "--observation-end", "someday")
-        assert err.value.code == 1
+        for value in ("someday", "0001-01-01T00:00:00+01:00"):
+            with pytest.raises(SystemExit) as err:
+                run_cli("metrics", "--input", str(event_csv), "--observation-end", value)
+            assert err.value.code == 1
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("events.csv", "user_id,task_id,project_id,finish_time\nu1,t1,p1,2014-01-01T00:00:00Z\n"
+             "u2,t2,p1,0001-01-01T00:00:00+01:00\n"),
+            ("events.jsonl", '{"user_id": "u1", "task_id": "t1", "project_id": "p1", '
+             '"finish_time": "2014-01-01T00:00:00Z"}\n{"user_id": "u2", "task_id": "t2", '
+             '"project_id": "p1", "finish_time": "9999-12-31T23:00:00-05:00"}\n'),
+        ],
+        ids=["csv", "jsonl"],
+    )
+    def test_out_of_range_instant_is_a_malformed_row(self, tmp_path, capsys, name, text):
+        source = tmp_path / name
+        source.write_text(text, encoding="utf-8")
+        fmt = ("--format", "jsonl") if name.endswith(".jsonl") else ()
+        assert run_cli("validate", "--input", str(source), *fmt) == 2
+        assert "timestamp out of range" in capsys.readouterr().err
+        assert run_cli("ingest", "--input", str(source), *fmt, "--out", str(tmp_path / "out.csv")) == 0
+        assert "loaded 1 of 2 records (dropped 0 anonymous, skipped 1 malformed)" in capsys.readouterr().out
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
