@@ -382,7 +382,7 @@ def _get_page(
             return json.loads(cached.read_text(encoding="utf-8"))
         except FileNotFoundError:
             pass
-        except ValueError as exc:  # undecodable, e.g. cut short by an interrupted run
+        except (ValueError, RecursionError) as exc:  # undecodable, or nested too deep
             logger.warning(
                 "ignoring unreadable cache file %s for %s (%s); fetching again", cached, url, exc
             )
@@ -403,7 +403,7 @@ def _get_page(
             if status >= 400:
                 raise NetworkError(f"client error {status} from {url}")
             payload = response.json()
-        except requests.RequestException as exc:
+        except (requests.RequestException, RecursionError) as exc:  # or a page nested too deep
             last_error = exc
             continue
         if cache_dir is not None:

@@ -88,7 +88,7 @@ class ProjectBalances:
 
 
 def compute_project_balances(projects: Mapping[str, ProjectProfile]) -> dict[str, ProjectBalances]:
-    """Compute both balances for every project, read from its counts. Order-independent."""
+    """Compute both balances for every project, read from its counts, in project id order."""
     results: dict[str, ProjectBalances] = {}
     for project_id in sorted(projects):
         project = projects[project_id]

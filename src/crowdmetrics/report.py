@@ -12,12 +12,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Mapping, TextIO
+from typing import Callable, Iterable, Mapping, TextIO
 
 from ._version import __version__
 from .events import PlatformSnapshot, derive_profiles
@@ -45,23 +46,6 @@ from .volunteers import (
 #: Platform regulars, split by whether they ever left their first project.
 #: Order is load-bearing: group i draws its bootstrap stream from seed + i.
 ACTIVITY_GROUPS = ("single_project_regulars", "multi_project_regulars")
-
-#: Machine-readable report plus the human tables, written by `metrics`.
-TABLE_ARTIFACT_NAMES = (
-    "report.json",
-    "volunteers.csv",
-    "projects.csv",
-    "platform.csv",
-)
-
-#: Plot-data files (x y per line), additionally written by `report`.
-PLOT_ARTIFACT_NAMES = (
-    "ecdf_recruitment.dat",
-    "ecdf_computing.dat",
-    "activity_ci.dat",
-)
-
-ARTIFACT_NAMES = TABLE_ARTIFACT_NAMES + PLOT_ARTIFACT_NAMES
 
 
 @dataclass(frozen=True)
@@ -159,8 +143,8 @@ def build_report(
     except UndefinedGiniError:
         gini_computing = None
 
-    ordered_metrics = tuple(metrics[v] for v in sorted(metrics))
-    ordered_balances = tuple(balances[p] for p in sorted(balances))
+    ordered_metrics = tuple(metrics.values())
+    ordered_balances = tuple(balances.values())
     distribution = class_distribution(
         (m.platform_class, m.project_class) for m in ordered_metrics
     )
@@ -215,12 +199,6 @@ def build_report(
     )
 
 
-def _balance_cell(value: BalanceValue) -> str:
-    if isinstance(value, Unbounded):
-        return str(value)
-    return f"{value:.6f}"
-
-
 def _balance_json(value: BalanceValue) -> float | str:
     if isinstance(value, Unbounded):
         return str(value)
@@ -243,7 +221,12 @@ def _ecdf_doc(curve: Ecdf | None) -> dict | None:
 
 
 def report_to_dict(report: MetricsReport) -> dict:
-    """Plain JSON-serializable view of a report, stable key order."""
+    """Plain JSON-serializable view of a report: the one source of every artifact.
+
+    ``report.json`` sorts its keys; the tables and plot files are written
+    from this document in its insertion order, so the order of each row's
+    keys here is the order of its table's columns.
+    """
     dist = report.distribution
     platform_pct = dist.platform_percentages()
     project_pct = dist.project_percentages()
@@ -263,26 +246,22 @@ def report_to_dict(report: MetricsReport) -> dict:
             for cls in ProjectClass
         },
     }
-    activity = []
-    for group in report.activity_groups:
-        row: dict = {"group": group.name, "volunteers": group.volunteer_count}
-        if group.ci is None:
-            row.update({"mean": None, "ci_lower": None, "ci_upper": None})
-        else:
-            row.update(
-                {
-                    "mean": group.ci.estimate,
-                    "ci_lower": group.ci.lower,
-                    "ci_upper": group.ci.upper,
-                }
-            )
-        activity.append(row)
+    activity = [
+        {
+            "group": group.name,
+            "volunteers": group.volunteer_count,
+            "mean": None if group.ci is None else group.ci.estimate,
+            "ci_lower": None if group.ci is None else group.ci.lower,
+            "ci_upper": None if group.ci is None else group.ci.upper,
+        }
+        for group in report.activity_groups
+    ]
     events_block: dict = {
         "analyzed": report.event_count,
         "duplicates_removed": report.duplicates_removed,
     }
     if report.source_stats:
-        events_block.update({k: report.source_stats[k] for k in sorted(report.source_stats)})
+        events_block.update(report.source_stats)
     return {
         "metadata": {
             "generator": "crowdmetrics",
@@ -339,121 +318,62 @@ def report_to_dict(report: MetricsReport) -> dict:
     }
 
 
-def _csv_text(header: Iterable[str], rows: Iterable[Iterable[object]]) -> str:
-    """CSV text with "\n" line ends; fields holding a comma, quote, "\r" or "\n" are quoted.
+def _cell(value: object) -> object:
+    """A table cell: a float gets 6 decimals, None is empty, anything else is as it is."""
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return "" if value is None else value
 
-    The writer gets "\r\n" as its line terminator because it quotes only
-    the line-terminator characters it was given; it writes one whole row per
-    call, and each row's terminator is swapped for "\n".
+
+def _write_table(rows: list[dict], handle: TextIO) -> None:
+    """CSV of ``rows`` under a header of their keys, with "\n" line ends, one write per row.
+
+    Fields holding a comma, quote, "\r" or "\n" are quoted. The writer gets
+    "\r\n" as its line terminator because it quotes only the line-terminator
+    characters it was given; it writes one whole row per call, and each
+    row's terminator is swapped for "\n".
     """
-    lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return "".join([line[:-2] + "\n" for line in lines])
+    sink = SimpleNamespace(write=lambda line: handle.write(line[:-2] + "\n"))
+    writer = csv.writer(sink, lineterminator="\r\n")
+    writer.writerow(rows[0])
+    writer.writerows(map(_cell, row.values()) for row in rows)
 
 
-def _volunteers_csv(report: MetricsReport) -> str:
-    header = (
-        "volunteer_id,available_projects,explored_projects,regular_projects,"
-        "exploration_rate,engagement_rate,relative_activity_duration,"
-        "platform_class,project_class"
-    ).split(",")
-    rows = (
-        (
-            m.volunteer_id,
-            m.available_projects,
-            m.explored_projects,
-            m.regular_projects,
-            f"{m.exploration_rate:.6f}",
-            f"{m.engagement_rate:.6f}",
-            f"{m.relative_activity_duration:.6f}",
-            m.platform_class.value,
-            m.project_class.value,
-        )
-        for m in report.volunteers
-    )
-    return _csv_text(header, rows)
+def _write_platform(doc: dict, handle: TextIO) -> None:
+    platform, events = doc["platform"], doc["metadata"]["events"]
+    metrics = {
+        "volunteers": platform["volunteers"],
+        "projects": platform["projects"],
+        "events_analyzed": events["analyzed"],
+        "duplicates_removed": events["duplicates_removed"],
+        "gini_recruitment": platform["gini_recruitment"],
+        "gini_computing": platform["gini_computing"],
+    }
+    for classes in platform["classes"].values():
+        for name, entry in classes.items():
+            metrics[f"{name}_count"] = entry["count"]
+            metrics[f"{name}_percent"] = f"{entry['percent']:.4f}"
+    _write_table([{"metric": name, "value": value} for name, value in metrics.items()], handle)
 
 
-def _projects_csv(report: MetricsReport) -> str:
-    header = (
-        "project_id,inherited_count,recruited_count,mean_tasks_inherited,"
-        "mean_tasks_recruited,balance_recruitment,balance_computing"
-    ).split(",")
-    rows = (
-        (
-            b.project_id,
-            b.inherited_count,
-            b.recruited_count,
-            "" if b.mean_tasks_inherited is None else f"{b.mean_tasks_inherited:.6f}",
-            "" if b.mean_tasks_recruited is None else f"{b.mean_tasks_recruited:.6f}",
-            _balance_cell(b.recruitment),
-            _balance_cell(b.computing),
-        )
-        for b in report.projects
-    )
-    return _csv_text(header, rows)
-
-
-def _platform_csv(report: MetricsReport) -> str:
-    dist = report.distribution
-    platform_pct = dist.platform_percentages()
-    project_pct = dist.project_percentages()
-    rows: list[tuple[str, object]] = [
-        ("volunteers", dist.total),
-        ("projects", len(report.projects)),
-        ("events_analyzed", report.event_count),
-        ("duplicates_removed", report.duplicates_removed),
-        ("gini_recruitment", "" if report.gini_recruitment is None else f"{report.gini_recruitment:.6f}"),
-        ("gini_computing", "" if report.gini_computing is None else f"{report.gini_computing:.6f}"),
-    ]
-    for cls in PlatformClass:
-        rows.append((f"{cls.value}_count", dist.platform_counts[cls]))
-        rows.append((f"{cls.value}_percent", f"{_percent(platform_pct[cls]):.4f}"))
-    for cls in ProjectClass:
-        rows.append((f"{cls.value}_count", dist.project_counts[cls]))
-        rows.append((f"{cls.value}_percent", f"{_percent(project_pct[cls]):.4f}"))
-    lines = ["metric,value"] + [f"{name},{value}" for name, value in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _ecdf_dat(curve: Ecdf | None, label: str) -> str:
-    lines = [f"# {label} cumulative_fraction"]
+def _write_ecdf(doc: dict, balance: str, handle: TextIO) -> None:
+    handle.write(f"# balance_in_{balance} cumulative_fraction\n")
+    curve = doc["platform"]["ecdf"][balance]
     if curve is None:
-        lines.append("# no finite values")
-        return "\n".join(lines) + "\n"
-    lines.append(
-        f"# finite={curve.finite_count} unbounded_negative={curve.unbounded_negative}"
-        f" unbounded_positive={curve.unbounded_positive}"
+        handle.write("# no finite values\n")
+        return
+    handle.write(
+        f"# finite={curve['finite_count']} unbounded_negative={curve['unbounded_negative']}"
+        f" unbounded_positive={curve['unbounded_positive']}\n"
     )
-    for value, fraction in curve.points():
-        lines.append(f"{value:.6f} {fraction:.6f}")
-    return "\n".join(lines) + "\n"
+    handle.writelines(f"{value:.6f} {fraction:.6f}\n" for value, fraction in curve["points"])
 
 
-def _activity_dat(report: MetricsReport) -> str:
-    lines = ["# group volunteers mean ci_lower ci_upper"]
-    for group in report.activity_groups:
-        if group.ci is None:
-            lines.append(f"{group.name} 0 NA NA NA")
-        else:
-            lines.append(
-                f"{group.name} {group.volunteer_count} {group.ci.estimate:.6f}"
-                f" {group.ci.lower:.6f} {group.ci.upper:.6f}"
-            )
-    return "\n".join(lines) + "\n"
+def _write_activity(doc: dict, handle: TextIO) -> None:
+    handle.write("# group volunteers mean ci_lower ci_upper\n")
+    for row in doc["platform"]["activity"]:
+        handle.write(" ".join("NA" if v is None else str(_cell(v)) for v in row.values()) + "\n")
 
-
-#: Artifact name -> its text; report.json is streamed by _write_json instead.
-_ARTIFACT_TEXT = {
-    "volunteers.csv": _volunteers_csv,
-    "projects.csv": _projects_csv,
-    "platform.csv": _platform_csv,
-    "ecdf_recruitment.dat": lambda report: _ecdf_dat(report.ecdf_recruitment, "balance_in_recruitment"),
-    "ecdf_computing.dat": lambda report: _ecdf_dat(report.ecdf_computing, "balance_in_computing"),
-    "activity_ci.dat": _activity_dat,
-}
 
 #: Encoder chunks joined per write: a few hundred KB of text at a time.
 _JSON_CHUNKS_PER_WRITE = 4096
@@ -467,33 +387,63 @@ def _write_json(doc: dict, handle: TextIO) -> None:
     handle.write("\n")
 
 
+#: Artifact name -> writer of its view of the ``report_to_dict`` document,
+#: in write order: the JSON report and three tables, then the plot data.
+_ARTIFACTS: dict[str, Callable[[dict, TextIO], None]] = {
+    "report.json": _write_json,
+    "volunteers.csv": lambda doc, handle: _write_table(doc["volunteers"], handle),
+    "projects.csv": lambda doc, handle: _write_table(doc["projects"], handle),
+    "platform.csv": _write_platform,
+    "ecdf_recruitment.dat": lambda doc, handle: _write_ecdf(doc, "recruitment", handle),
+    "ecdf_computing.dat": lambda doc, handle: _write_ecdf(doc, "computing", handle),
+    "activity_ci.dat": _write_activity,
+}
+
+ARTIFACT_NAMES = tuple(_ARTIFACTS)
+#: Machine-readable report plus the human tables, written by `metrics`.
+TABLE_ARTIFACT_NAMES = ARTIFACT_NAMES[:4]
+#: Plot-data files (x y per line), additionally written by `report`.
+PLOT_ARTIFACT_NAMES = ARTIFACT_NAMES[4:]
+
+
 def write_report(
     report: MetricsReport, out_dir: str | Path, plot_data: bool = True
 ) -> dict[str, Path]:
     """Write report artifacts into ``out_dir``; returns name -> path.
 
     Always writes the JSON report and the three CSV tables; ``plot_data``
-    adds the ECDF and CI data files. Output is deterministic: same report,
-    same bytes. Each artifact is built only as it is written, and
-    ``report.json`` is streamed, so no two artifacts are held at once.
+    adds the ECDF and CI data files. Every artifact is a view of one
+    ``report_to_dict`` document, so the same report gives the same bytes.
+    Each is streamed to a temporary file in ``out_dir``, and all are renamed
+    into place only once every one is written; if a writer raises, the
+    temporary files are removed and the previous set stays as it was.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    doc = report_to_dict(report)
     names = ARTIFACT_NAMES if plot_data else TABLE_ARTIFACT_NAMES
-    paths: dict[str, Path] = {}
-    for name in names:
-        path = out / name
-        with path.open("w", encoding="utf-8", newline="\n") as handle:
-            if name == "report.json":
-                _write_json(report_to_dict(report), handle)
-            else:
-                handle.write(_ARTIFACT_TEXT[name](report))
-        paths[name] = path
+    temps = {name: out / f".{name}.{os.getpid()}.tmp" for name in names}
+    try:
+        for name, temp in temps.items():
+            with temp.open("w", encoding="utf-8", newline="\n") as handle:
+                _ARTIFACTS[name](doc, handle)
+    except BaseException:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        raise
+    paths = {name: out / name for name in names}
+    for name, temp in temps.items():
+        os.replace(temp, paths[name])
     return paths
 
 
 def render_summary(report: MetricsReport) -> str:
-    """Short human-readable run summary for stdout."""
+    """Short human-readable run summary for stdout.
+
+    Reads the report, not ``report_to_dict``'s document: it rounds the exact
+    class fractions to whole percents, which the document's 4-decimal
+    percents could round the other way at .5.
+    """
     dist = report.distribution
     platform_pct = dist.platform_percentages()
     project_pct = dist.project_percentages()

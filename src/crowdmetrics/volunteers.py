@@ -161,10 +161,9 @@ def compute_volunteer_metrics(
 
     Reads the per-volunteer count arrays of the profiles ``derive_profiles``
     returns and computes each metric for all volunteers at once; only the
-    result objects are built per volunteer.
+    result objects are built per volunteer. The dict is built in volunteer
+    id order, the profiles' order.
     """
-    if availability not in AVAILABILITY_MODES:
-        raise ValueError(f"unknown availability mode: {availability!r}")
     available = _available(volunteers.join, projects, availability)
     explored = volunteers.explored
     regular = volunteers.regular

@@ -356,16 +356,33 @@ class TestCache:
         cfg = config(cache_dir=str(tmp_path))
         fetch_api(cfg, session=StubSession({page_url(0): [StubResponse(records)]}), sleep=lambda s: None)
         (cached,) = tmp_path.iterdir()
-        cached.write_text(cached.read_text(encoding="utf-8")[:50], encoding="utf-8")  # a cut-off write
+        good = cached.read_text(encoding="utf-8")
 
-        session = StubSession({page_url(0): [StubResponse(records)]})
-        with caplog.at_level("WARNING", logger="crowdmetrics.ingest"):
-            result = fetch_api(cfg, session=session, sleep=lambda s: None)
-        assert result.loaded == 30
-        assert session.calls == [page_url(0)]
-        assert any("unreadable cache file" in message for message in caplog.messages)
-        assert json.loads(cached.read_text(encoding="utf-8")) == records
-        assert list(tmp_path.iterdir()) == [cached]  # no temp file left behind
+        # a cut-off write, and a file nested past the recursion limit
+        for damaged in (good[:50], "[" * 100_000):
+            cached.write_text(damaged, encoding="utf-8")
+            caplog.clear()
+            session = StubSession({page_url(0): [StubResponse(records)]})
+            with caplog.at_level("WARNING", logger="crowdmetrics.ingest"):
+                result = fetch_api(cfg, session=session, sleep=lambda s: None)
+            assert result.loaded == 30
+            assert session.calls == [page_url(0)]
+            assert any("unreadable cache file" in message for message in caplog.messages)
+            assert json.loads(cached.read_text(encoding="utf-8")) == records
+            assert list(tmp_path.iterdir()) == [cached]  # no temp file left behind
+
+    def test_deeply_nested_response_is_a_failed_attempt(self, tmp_path):
+        class TooDeepResponse(StubResponse):
+            def json(self):
+                raise RecursionError("maximum recursion depth exceeded while decoding a JSON array")
+
+        session = StubSession({page_url(0): [TooDeepResponse(None)]})
+        sleeps = []
+        with pytest.raises(NetworkError, match="giving up"):
+            fetch_api(config(cache_dir=str(tmp_path)), session=session, sleep=sleeps.append)
+        assert len(session.calls) == MAX_API_ATTEMPTS
+        assert len(sleeps) == MAX_API_ATTEMPTS - 1
+        assert not any(tmp_path.iterdir())
 
     def test_cache_not_written_on_failure(self, tmp_path):
         session = StubSession({page_url(0): [StubResponse(None, status=404)]})

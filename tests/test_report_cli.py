@@ -7,6 +7,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crowdmetrics import report as report_module
 from crowdmetrics.cli import main
 from crowdmetrics.events import build_snapshot
 from crowdmetrics.ingest import IngestConfig, format_timestamp, load_events, write_events_csv
@@ -186,6 +187,129 @@ class TestSerialization:
             paths = write_report(report, tmp_path / name)
             oracle = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
             assert paths["report.json"].read_bytes() == oracle.encode("utf-8")
+
+    def test_text_artifact_bytes(self, tmp_path):
+        # ids with a comma, a quote, a line break and non-ASCII characters; a
+        # re-submission; projects with only recruited or only inherited sides
+        events = [
+            ev("vé,1", "t1", "p,é", "2014-01-01T10:00"),
+            ev("vé,1", "t2", "p,é", "2014-01-03T10:00"),
+            ev('v"2', "t3", 'p"\n', "2014-01-01T11:00"),
+            ev('v"2', "t4", "p,é", "2014-01-04T11:00"),
+            ev('v"2', "t5", "p,é", "2014-01-05T11:00"),
+            ev("v\n3", "t6", "p,é", "2014-01-02T09:00"),
+            ev("测试", "t7", 'p"\n', "2014-01-02T12:00"),
+            ev("测试", "t8", 'p"\n', "2014-01-06T12:00"),
+            ev("测试", "t9", "q", "2014-01-07T12:00"),
+            ev("v5", "t10", "q", "2014-01-01T08:00"),
+            ev("v5", "t11", "p,é", "2014-01-02T08:00"),
+            ev("v6", "t12", "q", "2014-01-03T08:00"),
+            ev("v6", "t13", "q", "2014-01-04T08:00"),
+            ev("v6", "t13", "q", "2014-01-05T08:00"),
+            ev("v6", "t14", "r", "2014-01-05T09:00"),
+        ]
+        options = ReportOptions(bootstrap_resamples=200, seed=3)
+        paths = write_report(build_report(build_snapshot(events), options), tmp_path / "mixed")
+        expected = {
+            "volunteers.csv": (
+                "volunteer_id,available_projects,explored_projects,regular_projects,"
+                "exploration_rate,engagement_rate,relative_activity_duration,"
+                "platform_class,project_class\n"
+                '"v\n3",4,1,0,0.250000,0.000000,0.000000,platform_transient,one_project\n'
+                '"v""2",4,2,1,0.500000,0.250000,0.666667,platform_regular,multi_project_explorer\n'
+                "v5,4,2,0,0.500000,0.000000,0.166667,platform_regular,multi_project_explorer\n"
+                "v6,4,2,1,0.500000,0.250000,0.500000,platform_regular,multi_project_explorer\n"
+                '"vé,1",4,1,1,0.250000,0.250000,0.333333,platform_regular,one_project\n'
+                "测试,4,2,1,0.500000,0.250000,1.000000,platform_regular,multi_project_explorer\n"
+            ),
+            "projects.csv": (
+                "project_id,inherited_count,recruited_count,mean_tasks_inherited,"
+                "mean_tasks_recruited,balance_recruitment,balance_computing\n"
+                '"p""\n",0,2,,1.500000,unbounded-,unbounded-\n'
+                '"p,é",2,2,1.500000,1.500000,0.000000,0.000000\n'
+                "q,1,2,1.000000,1.500000,-1.000000,-0.500000\n"
+                "r,1,0,1.000000,,unbounded+,unbounded+\n"
+            ),
+            "platform.csv": (
+                "metric,value\n"
+                "volunteers,6\n"
+                "projects,4\n"
+                "events_analyzed,14\n"
+                "duplicates_removed,1\n"
+                "gini_recruitment,0.250000\n"
+                "gini_computing,0.285714\n"
+                "platform_regular_count,5\n"
+                "platform_regular_percent,83.3333\n"
+                "platform_transient_count,1\n"
+                "platform_transient_percent,16.6667\n"
+                "multi_project_regular_count,0\n"
+                "multi_project_regular_percent,0.0000\n"
+                "multi_project_explorer_count,4\n"
+                "multi_project_explorer_percent,66.6667\n"
+                "one_project_count,2\n"
+                "one_project_percent,33.3333\n"
+            ),
+            "ecdf_recruitment.dat": (
+                "# balance_in_recruitment cumulative_fraction\n"
+                "# finite=2 unbounded_negative=1 unbounded_positive=1\n"
+                "-1.000000 0.500000\n"
+                "0.000000 1.000000\n"
+            ),
+            "ecdf_computing.dat": (
+                "# balance_in_computing cumulative_fraction\n"
+                "# finite=2 unbounded_negative=1 unbounded_positive=1\n"
+                "-0.500000 0.500000\n"
+                "0.000000 1.000000\n"
+            ),
+            "activity_ci.dat": (
+                "# group volunteers mean ci_lower ci_upper\n"
+                "single_project_regulars 1 0.333333 0.333333 0.333333\n"
+                "multi_project_regulars 4 0.583333 0.291667 0.876042\n"
+            ),
+        }
+        for name, text in expected.items():
+            assert paths[name].read_bytes() == text.encode("utf-8"), name
+
+        # one project, one day: no finite balance and no platform regulars
+        lone = [ev("v", "t1", "p1", "2014-01-01T10:00"), ev("w", "t2", "p1", "2014-01-01T12:00")]
+        paths = write_report(build_report(build_snapshot(lone), options), tmp_path / "lone")
+        expected = {
+            "projects.csv": (
+                "project_id,inherited_count,recruited_count,mean_tasks_inherited,"
+                "mean_tasks_recruited,balance_recruitment,balance_computing\n"
+                "p1,0,2,,1.000000,unbounded-,unbounded-\n"
+            ),
+            "ecdf_recruitment.dat": "# balance_in_recruitment cumulative_fraction\n# no finite values\n",
+            "ecdf_computing.dat": "# balance_in_computing cumulative_fraction\n# no finite values\n",
+            "activity_ci.dat": (
+                "# group volunteers mean ci_lower ci_upper\n"
+                "single_project_regulars 0 NA NA NA\n"
+                "multi_project_regulars 0 NA NA NA\n"
+            ),
+        }
+        for name, text in expected.items():
+            assert paths[name].read_bytes() == text.encode("utf-8"), name
+
+    def test_failed_write_leaves_previous_artifacts(self, synth_snapshot, tmp_path, monkeypatch):
+        write_report(build_report(synth_snapshot, fast), tmp_path)
+        before = {name: (tmp_path / name).read_bytes() for name in ARTIFACT_NAMES}
+
+        def fail(doc, handle):
+            handle.write("metric,value\n")
+            raise RuntimeError("writer failed")
+
+        # every artifact written before platform.csv differs in this report
+        trimmed = build_report(build_snapshot(synth_snapshot.events, exclusions=["p0000"]), fast)
+        monkeypatch.setitem(report_module._ARTIFACTS, "platform.csv", fail)
+        with pytest.raises(RuntimeError, match="writer failed"):
+            write_report(trimmed, tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(ARTIFACT_NAMES)
+        assert {name: (tmp_path / name).read_bytes() for name in ARTIFACT_NAMES} == before
+
+        monkeypatch.undo()
+        paths = write_report(trimmed, tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(ARTIFACT_NAMES)
+        assert all(paths[name].read_bytes() != before[name] for name in TABLE_ARTIFACT_NAMES)
 
     def test_volunteers_csv_has_row_per_volunteer(self, synth_snapshot, tmp_path):
         report = build_report(synth_snapshot, fast)
