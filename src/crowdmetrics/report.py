@@ -225,7 +225,9 @@ def report_to_dict(report: MetricsReport) -> dict:
 
     ``report.json`` sorts its keys; the tables and plot files are written
     from this document in its insertion order, so the order of each row's
-    keys here is the order of its table's columns.
+    keys here is the order of its table's columns. A volunteer row is its
+    ``VolunteerMetrics._asdict()``: the class cells hold the enum members,
+    ``str`` subclasses whose text, the one ``json`` and ``csv`` write, is their value.
     """
     dist = report.distribution
     platform_pct = dist.platform_percentages()
@@ -289,20 +291,7 @@ def report_to_dict(report: MetricsReport) -> dict:
                 "computing": _ecdf_doc(report.ecdf_computing),
             },
         },
-        "volunteers": [
-            {
-                "volunteer_id": m.volunteer_id,
-                "available_projects": m.available_projects,
-                "explored_projects": m.explored_projects,
-                "regular_projects": m.regular_projects,
-                "exploration_rate": m.exploration_rate,
-                "engagement_rate": m.engagement_rate,
-                "relative_activity_duration": m.relative_activity_duration,
-                "platform_class": m.platform_class.value,
-                "project_class": m.project_class.value,
-            }
-            for m in report.volunteers
-        ],
+        "volunteers": [m._asdict() for m in report.volunteers],
         "projects": [
             {
                 "project_id": b.project_id,
@@ -370,8 +359,9 @@ def _write_ecdf(doc: dict, balance: str, handle: TextIO) -> None:
 
 
 def _write_activity(doc: dict, handle: TextIO) -> None:
-    handle.write("# group volunteers mean ci_lower ci_upper\n")
-    for row in doc["platform"]["activity"]:
+    rows = doc["platform"]["activity"]
+    handle.write(f"# {' '.join(rows[0])}\n")
+    for row in rows:
         handle.write(" ".join("NA" if v is None else str(_cell(v)) for v in row.values()) + "\n")
 
 
@@ -416,7 +406,11 @@ def write_report(
     ``report_to_dict`` document, so the same report gives the same bytes.
     Each is streamed to a temporary file in ``out_dir``, and all are renamed
     into place only once every one is written; if a writer raises, the
-    temporary files are removed and the previous set stays as it was.
+    temporary files are removed and the previous set stays as it was. If a
+    rename fails, the artifacts renamed before it are this run's and the
+    rest keep their previous bytes; no temporary file is left. Once all are
+    in place, artifacts this run did not write (the plot data, without
+    ``plot_data``) are removed, so a run that returns leaves only its own.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -427,14 +421,16 @@ def write_report(
         for name, temp in temps.items():
             with temp.open("w", encoding="utf-8", newline="\n") as handle:
                 _ARTIFACTS[name](doc, handle)
+        for name, temp in temps.items():
+            os.replace(temp, out / name)
     except BaseException:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
         raise
-    paths = {name: out / name for name in names}
-    for name, temp in temps.items():
-        os.replace(temp, paths[name])
-    return paths
+    for name in ARTIFACT_NAMES:
+        if name not in temps:
+            (out / name).unlink(missing_ok=True)
+    return {name: out / name for name in names}
 
 
 def render_summary(report: MetricsReport) -> str:

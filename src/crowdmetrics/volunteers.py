@@ -10,10 +10,9 @@ class; each dimension's classes are mutually exclusive and exhaustive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -36,9 +35,11 @@ class ProjectClass(str, Enum):
     ONE_PROJECT = "one_project"                        # touched exactly 1 project
 
 
-@dataclass(frozen=True)
-class VolunteerMetrics:
-    """Computed metric values and class labels for one volunteer."""
+class VolunteerMetrics(NamedTuple):
+    """Computed metric values and class labels for one volunteer.
+
+    The fields, in this order, are the columns of every volunteer table.
+    """
 
     volunteer_id: str
     available_projects: int   # a
@@ -127,28 +128,26 @@ def relative_activity_duration(volunteer: VolunteerProfile, observation_end: dat
     return float(_activity_duration(join, last, to_micros(observation_end))[0])
 
 
+def _class_codes(
+    active_days: np.ndarray, explored: np.ndarray, regular: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-volunteer class codes (arrays, or single counts): indices into the enums' members.
+
+    Platform: regular (0) on >= 2 active days, transient (1) otherwise.
+    Project: multi-project regular (0) when regular in >= 2 projects, else
+    multi-project explorer (1) when >= 2 were touched, else one-project (2).
+    """
+    platform = np.where(active_days >= 2, 0, 1)
+    project = np.where(regular >= 2, 0, np.where(explored >= 2, 1, 2))
+    return platform, project
+
+
 def classify(
     active_day_count: int, explored_projects: int, regular_projects: int
 ) -> tuple[PlatformClass, ProjectClass]:
-    """Assign the platform-dimension and project-dimension classes.
-
-    Platform dimension: regular on >= 2 active days, transient otherwise.
-    Project dimension: multi-project regular when regular in >= 2 projects;
-    multi-project explorer when >= 2 projects were touched but fewer than 2
-    regularly; one-project otherwise. The elif chain keeps the three project
-    classes mutually exclusive.
-    """
-    if active_day_count >= 2:
-        platform_class = PlatformClass.REGULAR
-    else:
-        platform_class = PlatformClass.TRANSIENT
-    if regular_projects >= 2:
-        project_class = ProjectClass.MULTI_PROJECT_REGULAR
-    elif explored_projects >= 2:
-        project_class = ProjectClass.MULTI_PROJECT_EXPLORER
-    else:
-        project_class = ProjectClass.ONE_PROJECT
-    return platform_class, project_class
+    """Platform- and project-dimension classes of one volunteer (see ``_class_codes``)."""
+    platform, project = _class_codes(active_day_count, explored_projects, regular_projects)
+    return tuple(PlatformClass)[platform], tuple(ProjectClass)[project]
 
 
 def compute_volunteer_metrics(
@@ -160,16 +159,17 @@ def compute_volunteer_metrics(
     """Compute metrics and classes for every volunteer.
 
     Reads the per-volunteer count arrays of the profiles ``derive_profiles``
-    returns and computes each metric for all volunteers at once; only the
-    result objects are built per volunteer. The dict is built in volunteer
+    returns and computes each metric and class for all volunteers at once;
+    the rows are then zipped from the columns. The dict is built in volunteer
     id order, the profiles' order.
     """
     available = _available(volunteers.join, projects, availability)
     explored = volunteers.explored
     regular = volunteers.regular
     duration = _activity_duration(volunteers.join, volunteers.last, to_micros(observation_end))
-    results: dict[str, VolunteerMetrics] = {}
-    for volunteer_id, a, p, g, exploration, engagement, relative, days in zip(
+    platform, project = _class_codes(volunteers.active_day_count, explored, regular)
+    rows = map(
+        VolunteerMetrics,
         volunteers,
         available.tolist(),
         explored.tolist(),
@@ -177,18 +177,7 @@ def compute_volunteer_metrics(
         (explored / available).tolist(),
         (regular / available).tolist(),
         duration.tolist(),
-        volunteers.active_day_count.tolist(),
-    ):
-        platform_class, project_class = classify(days, p, g)
-        results[volunteer_id] = VolunteerMetrics(
-            volunteer_id=volunteer_id,
-            available_projects=a,
-            explored_projects=p,
-            regular_projects=g,
-            exploration_rate=exploration,
-            engagement_rate=engagement,
-            relative_activity_duration=relative,
-            platform_class=platform_class,
-            project_class=project_class,
-        )
-    return results
+        map(tuple(PlatformClass).__getitem__, platform.tolist()),
+        map(tuple(ProjectClass).__getitem__, project.tolist()),
+    )
+    return dict(zip(volunteers, rows))

@@ -493,4 +493,5 @@ def test_criterion_10_ingestion_equivalence(tmp_path):
     finally:
         server.shutdown()
         thread.join()
+        server.server_close()
     return "3 routes, 7 artifacts each"

@@ -421,6 +421,7 @@ def live_server():
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 class TestLiveHttp:

@@ -311,6 +311,12 @@ class TestSerialization:
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(ARTIFACT_NAMES)
         assert all(paths[name].read_bytes() != before[name] for name in TABLE_ARTIFACT_NAMES)
 
+    def test_failed_rename_leaves_no_temporary_files(self, synth_snapshot, tmp_path):
+        (tmp_path / "platform.csv").mkdir()
+        with pytest.raises(OSError):
+            write_report(build_report(synth_snapshot, fast), tmp_path)
+        assert not [path.name for path in tmp_path.iterdir() if path.name.endswith(".tmp")]
+
     def test_volunteers_csv_has_row_per_volunteer(self, synth_snapshot, tmp_path):
         report = build_report(synth_snapshot, fast)
         paths = write_report(report, tmp_path)
@@ -394,6 +400,17 @@ class TestCli:
         stdout = capsys.readouterr().out
         assert "gini recruitment" in stdout
         assert "wrote 4 artifacts" in stdout
+
+    def test_metrics_over_report_leaves_only_its_tables(self, tmp_path, capsys):
+        events, _ = generate(SynthConfig(seed=7, volunteer_count=200, project_count=8))
+        source = tmp_path / "events.csv"
+        write_events_csv(events, source)
+        out = tmp_path / "out"
+        args = ("--input", str(source), "--bootstrap-resamples", "100", "--out", str(out))
+        assert run_cli("report", *args) == 0
+        assert run_cli("metrics", *args, "--exclude-project", "p0000") == 0
+        assert sorted(path.name for path in out.iterdir()) == sorted(TABLE_ARTIFACT_NAMES)
+        assert json.loads((out / "report.json").read_text())["platform"]["projects"] == 7
 
     def test_ingest_normalizes_to_canonical_csv(self, event_csv, tmp_path, capsys):
         out = tmp_path / "normalized.csv"

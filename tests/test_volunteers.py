@@ -17,7 +17,7 @@ from crowdmetrics.volunteers import (
     relative_activity_duration,
 )
 from test_events import event_lists
-from testkit import ev, ts, volunteer_oracle
+from testkit import class_oracle, ev, ts, volunteer_oracle
 
 
 def profiles_from(events):
@@ -133,6 +133,14 @@ class TestClassify:
     def test_truth_table(self, days, explored, regular, platform, project):
         assert classify(days, explored, regular) == (platform, project)
 
+    def test_matches_class_oracle_on_every_small_triple(self):
+        for days in range(1, 5):
+            for explored in range(1, 6):
+                for regular in range(explored + 1):
+                    assert classify(days, explored, regular) == class_oracle(
+                        days, explored, regular
+                    ), (days, explored, regular)
+
     def test_enum_values_are_stable_serialization_names(self):
         assert PlatformClass.REGULAR.value == "platform_regular"
         assert ProjectClass.MULTI_PROJECT_EXPLORER.value == "multi_project_explorer"
@@ -158,6 +166,9 @@ class TestComputeVolunteerMetrics:
             assert m.exploration_rate == len(fact["projects"]) / available
             assert m.engagement_rate == fact["regular_projects"] / available
             assert (m.platform_class, m.project_class) == classify(
+                len(fact["days"]), len(fact["projects"]), fact["regular_projects"]
+            )
+            assert (m.platform_class, m.project_class) == class_oracle(
                 len(fact["days"]), len(fact["projects"]), fact["regular_projects"]
             )
 

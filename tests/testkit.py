@@ -1,9 +1,10 @@
 """Shared helpers and independent oracles for the test suite.
 
 The oracles here deliberately avoid the package's own implementations: the
-Gini oracle is the quadratic pairwise definition, and the volunteer oracle
+Gini oracle is the quadratic pairwise definition, the volunteer oracle
 recounts days and projects straight from raw event tuples with collections
-primitives. Tests compare the fast production code against these.
+primitives, and the class oracle is the paper's if/elif chain. Tests compare
+the fast production code against these.
 """
 
 from __future__ import annotations
@@ -83,6 +84,27 @@ def volunteer_oracle(events) -> dict[str, dict]:
             1 for days in fact["days_by_project"].values() if len(days) >= 2
         )
     return facts
+
+
+def class_oracle(active_days: int, explored: int, regular: int) -> tuple[str, str]:
+    """The paper's class rules as an if/elif chain, by their serialized names.
+
+    Platform: regular on two or more active days, transient otherwise.
+    Project: multi-project regular when regular in two or more projects,
+    else multi-project explorer when two or more were touched, else
+    one-project.
+    """
+    if active_days >= 2:
+        platform = "platform_regular"
+    else:
+        platform = "platform_transient"
+    if regular >= 2:
+        project = "multi_project_regular"
+    elif explored >= 2:
+        project = "multi_project_explorer"
+    else:
+        project = "one_project"
+    return platform, project
 
 
 def dedupe_oracle(events) -> list[TaskExecutionEvent]:
