@@ -71,6 +71,13 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _non_negative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
 def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", metavar="PATH", help="read events from a log file")
@@ -130,7 +137,7 @@ def _add_analysis_arguments(parser: argparse.ArgumentParser) -> None:
         default=0.95,
         help="bootstrap CI level (default: 0.95)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+    parser.add_argument("--seed", type=_non_negative_int, default=0, help="RNG seed (default: 0)")
 
 
 def _config_from_args(args: argparse.Namespace) -> IngestConfig:

@@ -340,12 +340,11 @@ class PlatformSnapshot:
 
 @dataclass
 class VolunteerProfile:
-    """Per-volunteer activity history derived from a snapshot.
+    """One volunteer's entries of ``VolunteerProfiles``, built on lookup.
 
-    ``join_instant`` is the first event unless a registration-date override
-    was supplied at derivation; it never exceeds ``last_instant``. The day
-    sets ``active_days`` and ``per_project_active_days`` are built from the
-    snapshot when first read.
+    ``join_instant`` is the first event unless ``derive_profiles`` applied a
+    registration-date override; it never exceeds ``last_instant``. The day
+    set ``active_days`` is built from the snapshot when first read.
     """
 
     volunteer_id: str
@@ -369,13 +368,6 @@ class VolunteerProfile:
     @cached_property
     def active_days(self) -> set[date]:
         return self._profiles.days(self.volunteer_id)
-
-    @cached_property
-    def per_project_active_days(self) -> dict[str, set[date]]:
-        return {
-            project_id: self._profiles.days(self.volunteer_id, project_id)
-            for project_id in self.per_project_task_count
-        }
 
 
 @dataclass
@@ -421,47 +413,68 @@ def _find(table: tuple[str, ...], item: str) -> int | None:
     return None
 
 
+def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values."""
+    boundary = np.ones(len(sorted_keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
+    return np.flatnonzero(boundary)
+
+
+def _distinct_days(day: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Distinct values per group of a sequence whose groups are each sorted."""
+    new_day = np.ones(len(day), dtype=bool)
+    np.not_equal(day[1:], day[:-1], out=new_day[1:])
+    new_day[starts] = True
+    return np.add.reduceat(new_day, starts, dtype=np.int64)
+
+
 class VolunteerProfiles(Mapping[str, VolunteerProfile]):
-    """Per-volunteer counts over a snapshot, one array entry per volunteer code.
+    """Per-volunteer counts over a snapshot's events, one array entry per volunteer code.
 
     Codes follow the snapshot's sorted volunteer table, so iteration is in
-    volunteer id order. The arrays are what the metrics read: ``join`` and
-    ``last`` (epoch microseconds), ``first_project`` (a project code),
-    ``active_day_count``, ``explored`` and ``regular``. A
+    volunteer id order. ``__init__`` derives every array from the events in
+    snapshot order. The metrics read ``join`` and ``last`` (epoch
+    microseconds of the first and last event; ``derive_profiles`` may move
+    ``join`` back to a registration date), ``first_project`` (the recruiting
+    project's code: the first event's, ties going to the smaller task id),
+    ``active_day_count`` (distinct UTC days), ``explored`` (projects with a
+    task) and ``regular`` (projects with tasks on two or more days). A
     ``VolunteerProfile`` is built only when a volunteer is looked up.
     """
 
-    def __init__(
-        self,
-        events: EventTable,
-        join: np.ndarray,
-        last: np.ndarray,
-        first_project: np.ndarray,
-        active_day_count: np.ndarray,
-        by_volunteer: np.ndarray,
-        starts: np.ndarray,
-        pair_volunteer: np.ndarray,
-        pair_project: np.ndarray,
-        pair_tasks: np.ndarray,
-        pair_regular: np.ndarray,
-    ):
-        count = len(events.volunteer_ids)
+    def __init__(self, events: EventTable):
+        volunteer, project, timestamp = events.volunteer, events.project, events.timestamp
+        project_count = len(events.project_ids)
+        day = timestamp // DAY_MICROS
         self.ids = events.volunteer_ids
-        self.join = join
-        self.last = last
-        self.first_project = first_project
-        self.active_day_count = active_day_count
-        self.explored = np.bincount(pair_volunteer, minlength=count)
-        self.regular = np.bincount(pair_volunteer[pair_regular], minlength=count)
         self._events = events
-        # events of volunteer c in snapshot order: by_volunteer[starts[c]:starts[c + 1]]
-        self._by_volunteer = by_volunteer
-        self._starts = starts
-        # (volunteer, project) pairs, sorted by volunteer and then project
+
+        # Each volunteer's events in snapshot order: the first is the join (ties
+        # already ordered by task_id), the last is the last instant. Volunteer
+        # c's events are _by_volunteer[_starts[c]:_starts[c + 1]].
+        self._by_volunteer = np.argsort(volunteer, kind="stable")
+        self._starts = np.append(_group_starts(volunteer[self._by_volunteer]), len(events))
+        first = self._by_volunteer[self._starts[:-1]]
+        self.join = timestamp[first]
+        self.last = timestamp[self._by_volunteer[self._starts[1:] - 1]]
+        self.first_project = project[first]
+        self.active_day_count = _distinct_days(day[self._by_volunteer], self._starts[:-1])
+
+        # Each (volunteer, project) pair's events in snapshot order; the pair
+        # arrays are sorted by volunteer and then project.
+        pair_key = volunteer.astype(np.int64) * project_count + project
+        by_pair = np.argsort(pair_key, kind="stable")
+        pair_key = pair_key[by_pair]
+        runs = _group_starts(pair_key)
+        self._pair_volunteer = (pair_key[runs] // project_count).astype(np.int32)
+        self._pair_project = (pair_key[runs] % project_count).astype(np.int32)
+        self._pair_tasks = np.diff(np.append(runs, len(events)))
+        pair_regular = _distinct_days(day[by_pair], runs) >= 2
+        count = len(self.ids)
+        self.explored = np.bincount(self._pair_volunteer, minlength=count)
+        self.regular = np.bincount(self._pair_volunteer[pair_regular], minlength=count)
+        # volunteer c's pairs: _pair_starts[c]:_pair_starts[c + 1]
         self._pair_starts = np.concatenate(([0], np.cumsum(self.explored)))
-        self._pair_volunteer = pair_volunteer
-        self._pair_project = pair_project
-        self._pair_tasks = pair_tasks
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -491,14 +504,12 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
             _profiles=self,
         )
 
-    def days(self, volunteer_id: str, project_id: str | None = None) -> set[date]:
-        """Calendar days (UTC) with a task by the volunteer, optionally in one project."""
+    def days(self, volunteer_id: str) -> set[date]:
+        """Calendar days (UTC) with a task by the volunteer."""
         code = _find(self.ids, volunteer_id)
         if code is None:
             raise KeyError(volunteer_id)
         rows = self._by_volunteer[self._starts[code] : self._starts[code + 1]]
-        if project_id is not None:
-            rows = rows[self._events.project[rows] == _find(self._events.project_ids, project_id)]
         day_numbers = set((self._events.timestamp[rows] // DAY_MICROS).tolist())
         return {_day(number) for number in day_numbers}
 
@@ -543,9 +554,8 @@ def build_snapshot(
     pair = table.volunteer[rows].astype(np.int64) * len(table.task_ids) + table.task[rows]
     order = np.lexsort((table.project[rows], timestamp[rows], pair))
     pair, rows = pair[order], rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    np.not_equal(pair[1:], pair[:-1], out=first[1:])
-    duplicates = len(rows) - int(np.count_nonzero(first))
+    first = _group_starts(pair)
+    duplicates = len(rows) - len(first)
     pair, rows = pair[first], rows[first]
     rows = rows[np.lexsort((pair, timestamp[rows]))]
     ordered = table.take(rows)
@@ -567,21 +577,6 @@ def build_snapshot(
         excluded_projects=excluded,
         duplicates_removed=duplicates,
     )
-
-
-def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    """Index of the first element of each run of equal values."""
-    boundary = np.ones(len(sorted_keys), dtype=bool)
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
-    return np.flatnonzero(boundary)
-
-
-def _distinct_days(day: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Distinct values per group of a sequence whose groups are each sorted."""
-    new_day = np.ones(len(day), dtype=bool)
-    np.not_equal(day[1:], day[:-1], out=new_day[1:])
-    new_day[starts] = True
-    return np.add.reduceat(new_day, starts, dtype=np.int64)
 
 
 def derive_profiles(
@@ -606,64 +601,32 @@ def derive_profiles(
     Raises:
         RegistrationAfterFirstEventError: an override postdates the first event.
     """
-    events = snapshot.events
-    volunteer, project, timestamp = events.volunteer, events.project, events.timestamp
-    project_count = len(events.project_ids)
-    day = timestamp // DAY_MICROS
-
-    # Each volunteer's events in snapshot order: the first is the join (ties
-    # already ordered by task_id), the last is the last instant.
-    by_volunteer = np.argsort(volunteer, kind="stable")
-    bounds = np.append(_group_starts(volunteer[by_volunteer]), len(events))
-    first = by_volunteer[bounds[:-1]]
-    last = by_volunteer[bounds[1:] - 1]
-    active_day_count = _distinct_days(day[by_volunteer], bounds[:-1])
-
-    # Each (volunteer, project) pair's events, in snapshot order.
-    pair_key = volunteer.astype(np.int64) * project_count + project
-    by_pair = np.argsort(pair_key, kind="stable")
-    pair_key = pair_key[by_pair]
-    pair_starts = _group_starts(pair_key)
-    pair_volunteer = (pair_key[pair_starts] // project_count).astype(np.int32)
-    pair_project = (pair_key[pair_starts] % project_count).astype(np.int32)
-    pair_tasks = np.diff(np.append(pair_starts, len(events)))
-    pair_regular = _distinct_days(day[by_pair], pair_starts) >= 2
-
-    join = timestamp[first]
-    first_project = project[first]
+    volunteers = VolunteerProfiles(snapshot.events)
     if registration_dates:
         late = []
         for volunteer_id, registered in registration_dates.items():
-            code = _find(events.volunteer_ids, volunteer_id)
+            code = _find(volunteers.ids, volunteer_id)
             if code is None:
                 continue
             micros = to_micros(registered)
-            if micros > timestamp[first[code]]:
+            if micros > volunteers.join[code]:
                 late.append(code)
             else:
-                join[code] = micros
+                volunteers.join[code] = micros
         if late:
-            # name the offender whose first event is earliest, so the message is deterministic
-            offender = events.volunteer_ids[min(late, key=lambda code: first[code])]
+            # name the offender whose first event is earliest, ties going to the
+            # smaller id, so the message is deterministic
+            offender = volunteers.ids[min(late, key=lambda code: (volunteers.join[code], code))]
             raise RegistrationAfterFirstEventError(
                 f"registration date for {offender!r} postdates their first event"
             )
 
-    volunteers = VolunteerProfiles(
-        events,
-        join=join,
-        last=timestamp[last],
-        first_project=first_project,
-        active_day_count=active_day_count,
-        by_volunteer=by_volunteer,
-        starts=bounds,
-        pair_volunteer=pair_volunteer,
-        pair_project=pair_project,
-        pair_tasks=pair_tasks,
-        pair_regular=pair_regular,
-    )
-
-    recruit = pair_project == first_project[pair_volunteer]
+    events = snapshot.events
+    project, timestamp = events.project, events.timestamp
+    project_count = len(events.project_ids)
+    first_project = volunteers.first_project
+    pair_project, pair_tasks = volunteers._pair_project, volunteers._pair_tasks
+    recruit = pair_project == first_project[volunteers._pair_volunteer]
     task_count = np.bincount(project, minlength=project_count)
     recruited_count = np.bincount(first_project, minlength=project_count)
     inherited_count = np.bincount(pair_project, minlength=project_count) - recruited_count

@@ -153,7 +153,13 @@ def _fields_from_mapping(obj: Mapping[str, Any], field_map: Mapping[str, str]) -
         raise ValueError("missing project_id")
     if not isinstance(raw_timestamp, str):
         raise ValueError(f"missing or non-string timestamp: {raw_timestamp!r}")
-    return str(volunteer).strip(), str(task).strip(), str(project).strip(), raw_timestamp
+    ids = str(volunteer).strip(), str(task).strip(), str(project).strip()
+    limit = csv.field_size_limit()
+    for value in ids:  # each id must be a field that ``ingest`` can write and load back
+        value.encode("utf-8")  # a \uXXXX escape can decode to a lone surrogate: UnicodeEncodeError
+        if len(value) > limit:
+            raise ValueError(f"field larger than field limit ({limit})")
+    return (*ids, raw_timestamp)
 
 
 def _column_builder(strict: bool):
@@ -396,7 +402,7 @@ def _get_page(
             sleep(delay)
         try:
             response = session.get(url, timeout=30)
-            status = getattr(response, "status_code", 200)
+            status = response.status_code
             if status >= 500:
                 last_error = NetworkError(f"server error {status} from {url}")
                 continue
@@ -455,10 +461,10 @@ def _api_pages(config: IngestConfig, session: Any, sleep: Callable[[float], None
         offset += config.page_size
 
 
-def load_events(config: IngestConfig, **api_kwargs: Any) -> IngestResult:
+def load_events(config: IngestConfig) -> IngestResult:
     """Dispatch to the right loader for the config's source kind."""
     if config.kind == "api":
-        return fetch_api(config, **api_kwargs)
+        return fetch_api(config)
     return load_file(config)
 
 

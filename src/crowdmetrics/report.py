@@ -62,6 +62,8 @@ class ReportOptions:
             raise ValueError("bootstrap_resamples must be >= 1")
         if not 0.0 < self.confidence_level < 1.0:
             raise ValueError("confidence_level must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

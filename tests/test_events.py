@@ -333,6 +333,17 @@ class TestRegistrationOverride:
         with pytest.raises(ValueError, match="postdates"):
             derive_profiles(snap, {"v1": ts("2014-03-10T12:00:01")})
 
+    def test_postdated_offender_has_the_earliest_first_event_then_the_smaller_id(self):
+        events = [
+            ev("a", "t1", "p1", "2014-03-11T12:00:00"),
+            ev("c", "t2", "p1", "2014-03-10T12:00:00"),
+            ev("b", "t3", "p1", "2014-03-10T12:00:00"),
+        ]
+        snap = build_snapshot(events)
+        late = ts("2014-04-01T00:00:00")
+        with pytest.raises(ValueError, match="'b' postdates"):
+            derive_profiles(snap, {"a": late, "c": late, "b": late})
+
     def test_registration_equal_to_first_event_accepted(self):
         events = [ev("v1", "t1", "p1", "2014-03-10T12:00:00")]
         snap = build_snapshot(events)

@@ -5,6 +5,7 @@ exact and instant; one test runs a real HTTP server to prove the stub
 assumptions hold for a live socket.
 """
 
+import csv
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -14,6 +15,7 @@ import pytest
 import requests
 
 from crowdmetrics import ingest
+from crowdmetrics.cli import main
 from crowdmetrics.events import EventTable
 from crowdmetrics.ingest import (
     BACKOFF_BASE_SECONDS,
@@ -211,6 +213,47 @@ class TestLoaderEquivalence:
         assert (from_api.value.source, from_api.value.line_number) == (page_url(4, 4), 0)
         assert from_jsonl.value.reason == from_api.value.reason == "expected a JSON object, got list"
         assert session.calls == [page_url(0, 4), page_url(4, 4)]
+
+
+class TestUnwritableIds:
+    """A JSON id that no CSV artifact can hold is a malformed record, not a crash at write time."""
+
+    @pytest.fixture(params=["jsonl", "api"])
+    def source(self, request, tmp_path, monkeypatch):
+        def read_from(records):
+            if request.param == "api":
+                monkeypatch.setattr(requests, "Session", lambda: paged_session(records, 100))
+                return ["--api-url", BASE], page_url(0)
+            path = tmp_path / "events.jsonl"
+            # json.dumps escapes a lone surrogate as \uXXXX, as a platform's export would
+            path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+            return ["--input", str(path), "--format", "jsonl"], str(path)
+
+        return read_from
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("user_id", "\ud800x"), ("task_id", "t\udfff"), ("project_id", "\udbff"),
+         ("user_id", "h" * (csv.field_size_limit() + 1))],
+        ids=["volunteer-surrogate", "task-surrogate", "project-surrogate", "over-field-limit"],
+    )
+    def test_skipped_in_lenient_runs_and_fatal_in_validate(self, source, tmp_path, capsys, field, value):
+        records = [{**record(1), field: value}, record(2)]
+        read, location = source(records)
+        assert main(["validate", *read]) == 2
+        assert f"error: {location}:{1 if read[0] == '--input' else 0}: " in capsys.readouterr().err
+        assert main(["ingest", *read, "--out", str(tmp_path / "out.csv")]) == 0
+        assert "loaded 1 of 2 records (dropped 0 anonymous, skipped 1 malformed)" in capsys.readouterr().out
+        assert main(["report", *read, "--bootstrap-resamples", "20", "--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))[
+            "metadata"]["events"]["skipped_malformed"] == 1
+
+    def test_id_at_field_limit_round_trips(self, source, tmp_path, capsys):
+        longest = "h" * csv.field_size_limit()
+        read, _ = source([{**record(1), "task_id": longest}])
+        assert main(["ingest", *read, "--out", str(tmp_path / "out.csv")]) == 0
+        reloaded = load_events(IngestConfig(kind="csv-file", location=str(tmp_path / "out.csv")))
+        assert [event.task_id for event in reloaded.events] == [longest]
 
 
 #: (user_id, task_id, project_id, finish_time) rows with every timestamp form

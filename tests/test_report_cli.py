@@ -108,6 +108,10 @@ class TestBuildReport:
             build_report(synth_snapshot, fast)
         assert threading.active_count() == threads_before
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            ReportOptions(seed=-1)
+
     def test_empty_group_has_no_interval(self):
         # single volunteer, single day: no platform regulars at all
         snap = build_snapshot([ev("v", "t1", "p1", "2014-01-01T10:00")])
@@ -529,6 +533,13 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             run_cli("metrics", "--input", str(event_csv), "--confidence-level", level, "--out", "x")
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("command", ["report", "metrics"])
+    def test_negative_seed_is_usage_error_before_input_is_read(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            run_cli(command, "--input", str(tmp_path / "ghost.csv"), "--seed", "-1", "--out", str(tmp_path))
+        assert err.value.code == 1
+        assert "--seed: must be >= 0" in capsys.readouterr().err
 
     def test_unexpected_value_error_is_not_a_data_fault(self, event_csv, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
