@@ -119,16 +119,21 @@ def parse_canonical_timestamps(raw: Sequence[str]) -> tuple[np.ndarray, np.ndarr
     micros = np.zeros(count, dtype=np.int64)
     parsed = np.fromiter(map(len, raw), dtype=np.int32, count=count) == 20
     if parsed.any():  # targets are assigned left to right: ``micros`` reads the shape mask
-        micros[parsed], parsed[parsed] = _parse_canonical(list(compress(raw, parsed.tolist())))
+        # "replace" encodes each non-ASCII code point as one "?", so every value
+        # stays 20 bytes long and fails the digit or separator checks
+        text = "".join(compress(raw, parsed.tolist())).encode("ascii", "replace")
+        chars = np.frombuffer(text, dtype=np.uint8).reshape(-1, 20)
+        micros[parsed], parsed[parsed] = _canonical_micros(chars)
     return micros, parsed
 
 
-def _parse_canonical(values: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Microseconds and validity of 20-character values; see above."""
-    # "replace" encodes each non-ASCII code point as one "?", so every value
-    # stays 20 bytes long and fails the digit or separator checks
-    text = "".join(values).encode("ascii", "replace")
-    chars = np.frombuffer(text, dtype=np.uint8).reshape(-1, 20)
+def _canonical_micros(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Microseconds and validity of the rows of an ``(n, 20)`` uint8 matrix of bytes.
+
+    The kernel of ``parse_canonical_timestamps``, for callers that hold the
+    bytes already: a row is valid when it spells a real instant in exactly
+    ``YYYY-MM-DDTHH:MM:SSZ`` form, and an invalid row reads 0.
+    """
     valid = np.ones(len(chars), dtype=bool)
     for position, separator in _CANONICAL_SEPARATORS:
         valid &= chars[:, position] == ord(separator)

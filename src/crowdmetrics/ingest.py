@@ -8,8 +8,11 @@ loader falls back to the canonical names (volunteer_id/.../timestamp) when a
 mapped column is absent, so files written by this package load with a
 default config.
 
-Each loader only reads and checks records; one column builder codes the ids
-of every source and parses its timestamps in bounded blocks.
+A CSV file in the common dialect (ASCII, unquoted, rows as wide as the
+header) is read by a byte path that indexes each block's newlines and commas
+and slices its fields in bulk; any other CSV, and every JSONL and API
+source, is read record by record, and one column builder codes its ids and
+parses its timestamps in bounded blocks. Both CSV paths give equal results.
 
 Records without a volunteer identifier are anonymous contributions: the
 metrics need a stable identity to link events, so those records are dropped
@@ -21,6 +24,7 @@ ignoring a leading byte-order mark.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import json
@@ -33,14 +37,16 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import count
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .events import (
     EventTable,
     InvalidTimestampError,
     TaskExecutionEvent,
+    _canonical_micros,
     parse_canonical_timestamps,
     parse_timestamp,
     to_micros,
@@ -66,6 +72,13 @@ BACKOFF_BASE_SECONDS = 0.5
 #: Rows per timestamp block; bounds the raw strings held and the parse's temporaries.
 _PARSE_CHUNK = 1 << 16
 
+#: Bytes the CSV byte path reads at a time; each block is cut after its last newline.
+_BLOCK_BYTES = 1 << 20
+#: Widest id the CSV byte path codes; a block's id matrix stays within a few times the block.
+_MAX_ID_BYTES = 32
+#: The ASCII bytes that ``str.strip()`` removes, by byte value.
+_STRIPPED = np.array([chr(byte).isspace() for byte in range(128)])
+
 
 class MalformedRowError(ValueError):
     """A row/line could not be turned into an event (strict mode only)."""
@@ -83,6 +96,10 @@ class SchemaError(ValueError):
 
 class NetworkError(RuntimeError):
     """The API could not be reached after all retry attempts."""
+
+
+class _Decline(Exception):
+    """The CSV byte path cannot promise ``csv.reader``'s result for a file; the message says why."""
 
 
 @dataclass(frozen=True)
@@ -162,8 +179,27 @@ def _fields_from_mapping(obj: Mapping[str, Any], field_map: Mapping[str, str]) -
     return (*ids, raw_timestamp)
 
 
+def _parse_rest(
+    micros: np.ndarray, parsed: np.ndarray, raw: Callable[[int], str]
+) -> Iterator[tuple[int, InvalidTimestampError]]:
+    """Parse the values a vectorised pass left out, one at a time, into ``micros`` and ``parsed``.
+
+    ``raw(index)`` gives the value at ``index``; yields the index and error
+    of each value ``parse_timestamp`` rejects, in order. Yielded, not
+    listed: a held error's traceback holds this frame, and the frame a list
+    of the errors, a cycle only the garbage collector would free.
+    """
+    for index in np.flatnonzero(~parsed).tolist():
+        try:
+            micros[index] = to_micros(parse_timestamp(raw(index)))
+        except InvalidTimestampError as exc:
+            yield index, exc
+        else:
+            parsed[index] = True
+
+
 def _column_builder(strict: bool):
-    """Every loader's columns, built a row at a time.
+    """The columns of the record-by-record loaders, built a row at a time.
 
     Returns four closures (not methods: ``add`` runs once per row).
     ``add(volunteer, task, project, raw_timestamp, source, position)`` codes
@@ -202,15 +238,10 @@ def _column_builder(strict: bool):
     def end_block() -> None:
         nonlocal skipped
         micros, parsed = parse_canonical_timestamps(stamps)
-        for index in np.flatnonzero(~parsed).tolist():
-            try:
-                micros[index] = to_micros(parse_timestamp(stamps[index]))
-            except InvalidTimestampError as exc:
-                if strict:
-                    raise MalformedRowError(*locations[index], str(exc)) from exc
-                skipped += 1
-            else:
-                parsed[index] = True
+        for index, exc in _parse_rest(micros, parsed, stamps.__getitem__):
+            if strict:
+                raise MalformedRowError(*locations[index], str(exc)) from exc
+            skipped += 1
         micros_blocks.append(micros)
         kept_blocks.append(parsed)
         stamps.clear()
@@ -275,7 +306,186 @@ def _resolve_csv_columns(header: list[str], field_map: Mapping[str, str], source
 
 
 def _load_csv(config: IngestConfig) -> IngestResult:
-    """Read a CSV export into an ``EventTable``: row checks here, the rest in the column builder."""
+    """Read a CSV export into an ``EventTable``.
+
+    A file in the common dialect takes the byte path; any other file is read
+    by ``csv.reader``, from its start. Both give the same result, tallies
+    and errors, and the module logger says at DEBUG level which one ran.
+    """
+    path = Path(config.location)
+    try:
+        with path.open("rb") as handle:
+            result = _load_csv_bytes(handle, config, str(path))
+    except _Decline as decline:
+        logger.debug("%s: read by csv.reader: %s", path, decline)
+    else:
+        logger.debug("%s: read by the byte path", path)
+        return result
+    # out of the handler, so the traceback no longer holds the byte path's buffers
+    return _load_csv_rows(config)
+
+
+def _csv_blocks(handle) -> Iterator[np.ndarray]:
+    """A CSV file's bytes after any byte-order mark, as uint8 blocks that each end with a newline.
+
+    A block is cut after its last newline (a final line that lacks one gets
+    it) and is followed by ``_MAX_ID_BYTES`` NULs, so a fixed-width gather
+    may read past the last field. Raises ``_Decline`` for a byte that
+    ``csv.reader`` or the text decoder treats in its own way.
+    """
+    pending = handle.read(len(codecs.BOM_UTF8))
+    if pending == codecs.BOM_UTF8:
+        pending = b""
+    while True:
+        chunk = handle.read(_BLOCK_BYTES)
+        pending += chunk
+        cut = pending.rfind(b"\n") + 1 if chunk else len(pending)  # the end of the file ends a line
+        if not cut:
+            if not chunk:
+                return
+            if len(pending) > _BLOCK_BYTES:
+                raise _Decline(f"a line over {_BLOCK_BYTES} bytes")
+            continue
+        data, pending = pending[:cut], pending[cut:]
+        if b'"' in data:
+            raise _Decline("a double quote")
+        if b"\0" in data:
+            raise _Decline("a NUL byte")
+        if not data.isascii():
+            raise _Decline("a non-ASCII byte")
+        if b"\r" in data:  # each CR must start a CRLF
+            chars = np.frombuffer(data, dtype=np.uint8)
+            after = np.flatnonzero(chars == ord("\r")) + 1
+            if after[-1] == len(chars) or (chars[after] != ord("\n")).any():
+                raise _Decline("a CR not followed by LF")
+        ending = b"" if data.endswith(b"\n") else b"\n"
+        yield np.frombuffer(data + ending + bytes(_MAX_ID_BYTES), dtype=np.uint8)
+
+
+def _load_csv_bytes(handle, config: IngestConfig, source: str) -> IngestResult:
+    """The byte path of ``_load_csv``: index each block's newlines and commas, then slice fields in bulk.
+
+    Raises ``_Decline`` wherever its result could differ from the
+    ``csv.reader`` loop's: a special byte (see ``_csv_blocks``), a line over
+    the field size limit, a row whose comma count differs from the header's,
+    a kept row's id that is empty, padded with whitespace or over
+    ``_MAX_ID_BYTES``, or, in strict mode, a timestamp that does not parse.
+    So it reads only files with no malformed record but for, in lenient
+    mode, unparseable timestamps. An empty volunteer id is an anonymous record.
+    """
+    limit = csv.field_size_limit()
+    id_fields = CANONICAL_FIELDS[:3]
+    id_blocks: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in id_fields]
+    micros_blocks = []
+    total = dropped = skipped = 0
+    columns: dict[str, int] | None = None
+    for buf in _csv_blocks(handle):
+        newlines = np.flatnonzero(buf == ord("\n"))
+        starts = np.concatenate(([0], newlines[:-1] + 1))
+        # a CRLF line ends before its CR; every CR precedes a newline, and a
+        # line starting the block reads the padding NUL at buf[-1]
+        ends = newlines - (buf[newlines - 1] == ord("\r"))
+        if (ends - starts).max() > limit:  # it may hold a field over the limit
+            raise _Decline("a line over the field size limit")
+        if columns is None:  # the first line is the header
+            header = buf[: ends[0]].tobytes().decode("ascii")
+            columns = _resolve_csv_columns(_read_header(csv.reader([header]), source), config.field_map, source)
+            separators = header.count(",")
+            starts, ends = starts[1:], ends[1:]
+        records = ends > starts  # a blank line is not a record
+        starts, ends = starts[records], ends[records]
+        commas = np.flatnonzero(buf == ord(","))
+        before = np.searchsorted(commas, starts)
+        if (np.searchsorted(commas, ends) - before != separators).any():
+            raise _Decline("a row whose comma count differs from the header's")
+
+        def field(name: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            column = columns[name]
+            first = starts[rows] if column == 0 else commas[before[rows] + column - 1] + 1
+            last = ends[rows] if column == separators else commas[before[rows] + column]
+            return first, last
+
+        first, last = field("volunteer_id", slice(None))
+        named = np.flatnonzero(last > first)
+        total += len(starts)
+        dropped += len(starts) - len(named)
+        ids = [field(name, named) for name in id_fields]
+        for first, last in ids:
+            if (last == first).any():
+                raise _Decline("an empty id")
+            if (_STRIPPED[buf[first]] | _STRIPPED[buf[last - 1]]).any():
+                raise _Decline("an id with leading or trailing whitespace")
+            if (last - first).max(initial=0) > _MAX_ID_BYTES:
+                raise _Decline(f"an id over {_MAX_ID_BYTES} bytes")
+
+        stamp_first, stamp_last = field("timestamp", named)
+        micros = np.zeros(len(named), dtype=np.int64)
+        parsed = stamp_last - stamp_first == 20
+        if parsed.any():
+            chars = sliding_window_view(buf, 20)[stamp_first[parsed]]
+            micros[parsed], parsed[parsed] = _canonical_micros(chars)
+
+        def stamp(index: int) -> str:
+            return buf[stamp_first[index] : stamp_last[index]].tobytes().decode("ascii")
+
+        for _ in _parse_rest(micros, parsed, stamp):
+            if config.strict:
+                raise _Decline("a timestamp that strict mode raises for")
+            skipped += 1
+        micros_blocks.append(micros[parsed])
+        for blocks, (first, last) in zip(id_blocks, ids):
+            table, inverse = np.unique(_id_keys(buf, first[parsed], last[parsed]), return_inverse=True)
+            blocks.append((table, inverse.astype(np.int32)))
+    if columns is None:
+        _read_header(csv.reader([]), source)  # raises: an empty file has no header
+    tables, codes = zip(*map(_merge_id_blocks, id_blocks))
+    events = EventTable(*tables, *codes, np.concatenate(micros_blocks))
+    return IngestResult(events, total_records=total, dropped_anonymous=dropped, skipped_malformed=skipped)
+
+
+def _id_keys(buf: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Keys that sort as the ids ``buf[first:last]`` do.
+
+    Ids of at most 8 bytes give big-endian ``uint64`` keys of their
+    NUL-padded bytes, wider ones ``S`` strings as wide as the widest. UTF-8
+    byte order is ``str`` order, and a NUL sorts before any id byte.
+    """
+    lengths = last - first
+    width = max(8, int(lengths.max(initial=0)))
+    matrix = sliding_window_view(buf, width)[first]
+    if width == 8:  # shift out the bytes past each id's end
+        padding = (8 * (8 - lengths)).astype(np.uint64)
+        return matrix.view(">u8").ravel().astype(np.uint64) >> padding << padding
+    matrix[np.arange(width) >= lengths[:, None]] = 0
+    return matrix.view(f"S{width}").ravel()
+
+
+def _merge_id_blocks(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[tuple[str, ...], np.ndarray]:
+    """One id column's sorted id table and int32 codes from its blocks' ``np.unique`` tables and inverses."""
+    tables = [table for table, _ in blocks]
+    if any(table.dtype.kind == "S" for table in tables):
+        tables = list(map(_key_bytes, tables))
+    merged, remap = np.unique(np.concatenate(tables), return_inverse=True)
+    offsets = np.cumsum([0] + [len(table) for table in tables[:-1]])
+    codes = np.concatenate([remap[offset + inverse] for offset, (_, inverse) in zip(offsets, blocks)])
+    return _decode_ids(merged), codes.astype(np.int32)
+
+
+def _key_bytes(keys: np.ndarray) -> np.ndarray:
+    """``_id_keys`` keys as ``S`` strings: the bytes of a ``uint64`` key are its id, NUL-padded."""
+    return keys.astype(">u8").view("S8") if keys.dtype.kind == "u" else keys
+
+
+def _decode_ids(keys: np.ndarray) -> tuple[str, ...]:
+    """The ids of ``_id_keys`` keys, decoded in one join and split."""
+    keys = _key_bytes(keys)
+    matrix = keys.view(np.uint8).reshape(len(keys), keys.dtype.itemsize)
+    lines = np.concatenate([matrix, np.full((len(keys), 1), ord("\n"), dtype=np.uint8)], axis=1)
+    return tuple(lines[lines != 0].tobytes().decode("ascii").split("\n")[:-1])
+
+
+def _load_csv_rows(config: IngestConfig) -> IngestResult:
+    """Read any CSV export with ``csv.reader``: row checks here, the rest in the column builder."""
     path = Path(config.location)
     source = str(path)
     add, _, reject, finish = _column_builder(config.strict)
@@ -478,17 +688,28 @@ def format_timestamp(timestamp) -> str:
 
 
 def write_events_csv(events: Iterable[TaskExecutionEvent], path: str | Path) -> int:
-    """Write events in the canonical CSV schema; returns the row count."""
+    """Write events in the canonical CSV schema, CRLF line ends; returns the row count.
+
+    The rows go to a temporary file beside ``path``, which is renamed over
+    it only once every row is written; if writing raises, the temporary file
+    is removed and a previous file at ``path`` stays as it was.
+    """
     path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     count = 0
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
-        for event in events:
-            writer.writerow(
-                (event.volunteer_id, event.task_id, event.project_id, format_timestamp(event.timestamp))
-            )
-            count += 1
+    try:
+        with temp.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(CSV_HEADER)
+            for event in events:
+                writer.writerow(
+                    (event.volunteer_id, event.task_id, event.project_id, format_timestamp(event.timestamp))
+                )
+                count += 1
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
     return count
 
 

@@ -474,6 +474,20 @@ class TestWriteEventsCsv:
         write_events_csv(events, path)
         assert load_file(IngestConfig(kind="csv-file", location=str(path), strict=True)).events == events
 
+    def test_failed_write_leaves_the_previous_file(self, tmp_path, sample_events):
+        path = tmp_path / "out.csv"
+        write_events_csv(sample_events, path)
+        before = path.read_bytes()
+
+        def two_then_fail():
+            yield from sample_events[:2]
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_events_csv(two_then_fail(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
     def test_empty_collection_writes_header_only(self, tmp_path):
         path = tmp_path / "out.csv"
         assert write_events_csv([], path) == 0
