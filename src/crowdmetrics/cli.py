@@ -26,6 +26,8 @@ from .ingest import (
     MalformedRowError,
     NetworkError,
     SchemaError,
+    _api_url,
+    _replacing,
     load_events,
     load_registration_dates,
     write_events_csv,
@@ -47,6 +49,13 @@ def _timestamp_flag(raw: str):
     try:
         return parse_timestamp(raw)
     except InvalidTimestampError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _api_url_flag(raw: str) -> str:
+    try:
+        return _api_url(raw)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -81,7 +90,9 @@ def _non_negative_int(raw: str) -> int:
 def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", metavar="PATH", help="read events from a log file")
-    source.add_argument("--api-url", metavar="URL", help="read events from a task-run API")
+    source.add_argument(
+        "--api-url", type=_api_url_flag, metavar="URL", help="read events from a task-run API"
+    )
     parser.add_argument(
         "--format",
         choices=("csv", "jsonl"),
@@ -223,8 +234,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     events, labels = generate(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = write_events_csv(events, out_dir / "events.csv")
-    write_labels_csv(labels, out_dir / "labels.csv")
+    # one set: a failed run leaves the previous pair, not new events beside old labels
+    with _replacing(out_dir / "events.csv", out_dir / "labels.csv") as (events_temp, labels_temp):
+        rows = write_events_csv(events, events_temp)
+        write_labels_csv(labels, labels_temp)
     sys.stdout.write(
         f"generated {rows} events for {len(labels)} volunteers"
         f" across {args.projects} projects in {args.out}\n"

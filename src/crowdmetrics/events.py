@@ -456,14 +456,14 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
 
         # Each volunteer's events in snapshot order: the first is the join (ties
         # already ordered by task_id), the last is the last instant. Volunteer
-        # c's events are _by_volunteer[_starts[c]:_starts[c + 1]].
-        self._by_volunteer = np.argsort(volunteer, kind="stable")
-        self._starts = np.append(_group_starts(volunteer[self._by_volunteer]), len(events))
-        first = self._by_volunteer[self._starts[:-1]]
+        # c's events are by_volunteer[starts[c]:starts[c + 1]].
+        by_volunteer = np.argsort(volunteer, kind="stable")
+        starts = np.append(_group_starts(volunteer[by_volunteer]), len(events))
+        first = by_volunteer[starts[:-1]]
         self.join = timestamp[first]
-        self.last = timestamp[self._by_volunteer[self._starts[1:] - 1]]
+        self.last = timestamp[by_volunteer[starts[1:] - 1]]
         self.first_project = project[first]
-        self.active_day_count = _distinct_days(day[self._by_volunteer], self._starts[:-1])
+        self.active_day_count = _distinct_days(day[by_volunteer], starts[:-1])
 
         # Each (volunteer, project) pair's events in snapshot order; the pair
         # arrays are sorted by volunteer and then project.
@@ -514,8 +514,8 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
         code = _find(self.ids, volunteer_id)
         if code is None:
             raise KeyError(volunteer_id)
-        rows = self._by_volunteer[self._starts[code] : self._starts[code + 1]]
-        day_numbers = set((self._events.timestamp[rows] // DAY_MICROS).tolist())
+        timestamps = self._events.timestamp[self._events.volunteer == code]
+        day_numbers = set((timestamps // DAY_MICROS).tolist())
         return {_day(number) for number in day_numbers}
 
     def members(self, project_id: str, recruited: bool) -> set[str]:

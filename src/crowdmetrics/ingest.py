@@ -33,11 +33,13 @@ import os
 import time
 from array import array
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import count
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
+from urllib.parse import urlsplit
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -127,9 +129,19 @@ class IngestConfig:
             raise ValueError(f"unknown source kind: {self.kind!r}")
         if self.page_size < 1:
             raise ValueError("page size must be >= 1")
+        if self.kind == "api":
+            _api_url(self.location)
         missing = [f for f in CANONICAL_FIELDS if f not in self.field_map]
         if missing:
             raise ValueError(f"field map does not cover: {', '.join(missing)}")
+
+
+def _api_url(url: str) -> str:
+    """Return ``url`` if it is an http(s) URL with a host; no retry could fetch any other."""
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"API URL must be http:// or https:// with a host, got {url!r}")
+    return url
 
 
 @dataclass
@@ -570,20 +582,35 @@ def _cache_path(cache_dir: Path, url: str) -> Path:
     return cache_dir / f"{digest}.json"
 
 
+@contextmanager
+def _replacing(*paths: Path) -> Iterator[list[Path]]:
+    """Yield a temporary path beside each target, to be renamed over it once the block returns.
+
+    Every file this package writes goes through here. The temporaries are
+    renamed in order; on any raise, from the block or from a rename, every
+    temporary is removed and the error re-raised, so the targets not yet
+    renamed keep their previous bytes.
+    """
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+
+
 def _write_cache(path: Path, payload: Any) -> None:
-    """Write a page through a temp file and a rename, so a reader never sees part of it.
+    """Write a page through ``_replacing``, so a reader never sees part of it.
 
     Not fsynced: a page that a power loss leaves empty or cut short no
     longer decodes, and ``_get_page`` then fetches it again.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
+    with _replacing(path) as (temp,):
         temp.write_text(json.dumps(payload), encoding="utf-8")
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
 
 
 def _get_page(
@@ -690,26 +717,18 @@ def format_timestamp(timestamp) -> str:
 def write_events_csv(events: Iterable[TaskExecutionEvent], path: str | Path) -> int:
     """Write events in the canonical CSV schema, CRLF line ends; returns the row count.
 
-    The rows go to a temporary file beside ``path``, which is renamed over
-    it only once every row is written; if writing raises, the temporary file
-    is removed and a previous file at ``path`` stays as it was.
+    Written through ``_replacing``: if writing raises, a previous file at
+    ``path`` stays as it was.
     """
-    path = Path(path)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     count = 0
-    try:
-        with temp.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(CSV_HEADER)
-            for event in events:
-                writer.writerow(
-                    (event.volunteer_id, event.task_id, event.project_id, format_timestamp(event.timestamp))
-                )
-                count += 1
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
+    with _replacing(Path(path)) as (temp,), temp.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CSV_HEADER)
+        for event in events:
+            writer.writerow(
+                (event.volunteer_id, event.task_id, event.project_id, format_timestamp(event.timestamp))
+            )
+            count += 1
     return count
 
 

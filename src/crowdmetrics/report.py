@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import islice
@@ -22,7 +21,7 @@ from typing import Callable, Iterable, Mapping, TextIO
 
 from ._version import __version__
 from .events import PlatformSnapshot, derive_profiles
-from .ingest import format_timestamp
+from .ingest import _replacing, format_timestamp
 from .projects import BalanceValue, ProjectBalances, Unbounded, compute_project_balances
 from .stats import (
     BootstrapCI,
@@ -406,31 +405,23 @@ def write_report(
     Always writes the JSON report and the three CSV tables; ``plot_data``
     adds the ECDF and CI data files. Every artifact is a view of one
     ``report_to_dict`` document, so the same report gives the same bytes.
-    Each is streamed to a temporary file in ``out_dir``, and all are renamed
-    into place only once every one is written; if a writer raises, the
-    temporary files are removed and the previous set stays as it was. If a
-    rename fails, the artifacts renamed before it are this run's and the
-    rest keep their previous bytes; no temporary file is left. Once all are
-    in place, artifacts this run did not write (the plot data, without
-    ``plot_data``) are removed, so a run that returns leaves only its own.
+    All are written as one set through ``_replacing``: if a writer raises,
+    the previous set stays as it was, and if a rename fails, the artifacts
+    renamed before it are this run's and the rest keep their previous
+    bytes; no temporary file is left. Once all are in place, artifacts this
+    run did not write (the plot data, without ``plot_data``) are removed,
+    so a run that returns leaves only its own.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = report_to_dict(report)
     names = ARTIFACT_NAMES if plot_data else TABLE_ARTIFACT_NAMES
-    temps = {name: out / f".{name}.{os.getpid()}.tmp" for name in names}
-    try:
-        for name, temp in temps.items():
+    with _replacing(*(out / name for name in names)) as temps:
+        for name, temp in zip(names, temps):
             with temp.open("w", encoding="utf-8", newline="\n") as handle:
                 _ARTIFACTS[name](doc, handle)
-        for name, temp in temps.items():
-            os.replace(temp, out / name)
-    except BaseException:
-        for temp in temps.values():
-            temp.unlink(missing_ok=True)
-        raise
     for name in ARTIFACT_NAMES:
-        if name not in temps:
+        if name not in names:
             (out / name).unlink(missing_ok=True)
     return {name: out / name for name in names}
 

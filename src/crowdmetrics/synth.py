@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .events import TaskExecutionEvent
+from .ingest import _replacing
 from .volunteers import PlatformClass, ProjectClass
 
 
@@ -314,4 +315,5 @@ def write_labels_csv(
     for volunteer_id in sorted(labels):
         platform_class, project_class = labels[volunteer_id]
         lines.append(f"{volunteer_id},{platform_class.value},{project_class.value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _replacing(Path(path)) as (temp,):
+        temp.write_text("\n".join(lines) + "\n", encoding="utf-8")

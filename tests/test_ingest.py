@@ -6,6 +6,7 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import example, given, strategies as st
 
+from crowdmetrics.cli import build_parser
 from crowdmetrics.events import (
     InvalidTimestampError,
     build_snapshot,
@@ -441,6 +442,16 @@ class TestConfigAndDispatch:
     def test_bad_page_size_rejected(self):
         with pytest.raises(ValueError):
             IngestConfig(kind="api", location="http://x", page_size=0)
+
+    @pytest.mark.parametrize("url", ["notaurl", "ftp://x", "http://", "https:///api", "platform.test:8080"])
+    def test_api_location_without_http_scheme_or_host_rejected(self, url):
+        with pytest.raises(ValueError, match="must be http:// or https:// with a host"):
+            IngestConfig(kind="api", location=url)
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:8765", "https://host/api", "HTTP://Platform.test/"])
+    def test_api_location_with_http_scheme_and_host_accepted(self, url):
+        assert IngestConfig(kind="api", location=url).location == url
+        assert build_parser().parse_args(["validate", "--api-url", url]).api_url == url
 
     def test_incomplete_field_map_rejected(self):
         with pytest.raises(ValueError):

@@ -461,6 +461,22 @@ class TestCli:
         assert (out / "events.csv").is_file() and (out / "labels.csv").is_file()
         assert run_cli("validate", "--input", str(out / "events.csv")) == 0
 
+    def test_failed_synth_leaves_the_previous_pair(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "synthdata"
+        args = ("synth", "--volunteers", "40", "--projects", "5", "--out", str(out))
+        assert run_cli(*args, "--seed", "1") == 0
+        before = {name: (out / name).read_bytes() for name in ("events.csv", "labels.csv")}
+
+        def fail(labels, path):
+            path.write_text("volunteer_id\n", encoding="utf-8")
+            raise OSError("disk full")
+
+        monkeypatch.setattr("crowdmetrics.cli.write_labels_csv", fail)
+        assert run_cli(*args, "--seed", "2") == 2
+        assert "disk full" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in before} == before
+        assert sorted(path.name for path in out.iterdir()) == ["events.csv", "labels.csv"]
+
     def test_exclude_project_shrinks_platform(self, event_csv, tmp_path, capsys):
         assert run_cli(
             "metrics", "--input", str(event_csv), "--bootstrap-resamples", "100",
@@ -527,6 +543,13 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             run_cli("metrics", "--input", "x", "--availability", "never")
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("url", ["notaurl", "ftp://x", "http://", "https:///api", "platform.test:8080"])
+    def test_api_url_that_is_not_http_with_a_host_is_usage_error(self, url, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli("validate", "--api-url", url)
+        assert err.value.code == 1
+        assert "--api-url: API URL must be http:// or https:// with a host" in capsys.readouterr().err
 
     @pytest.mark.parametrize("level", ["0", "1", "1.5", "-0.1", "nan"])
     def test_confidence_level_outside_unit_interval_is_usage_error(self, event_csv, level):
