@@ -87,6 +87,13 @@ def _non_negative_int(raw: str) -> int:
     return value
 
 
+def _non_negative_float(raw: str) -> float:
+    value = float(raw)
+    if not value >= 0.0:  # NaN compares false
+        raise argparse.ArgumentTypeError("must be a number >= 0")
+    return value
+
+
 def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", metavar="PATH", help="read events from a log file")
@@ -220,9 +227,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    weights = None
-    if args.skew > 0:
-        weights = [(i + 1) ** -args.skew for i in range(args.projects)]
+    # skew 0 gives every project weight 1.0: the uniform split
+    weights = [(i + 1) ** -args.skew for i in range(args.projects)]
     config = SynthConfig(
         seed=args.seed,
         project_count=args.projects,
@@ -280,9 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--end", type=_date_flag, default=date(2014, 12, 31), metavar="YYYY-MM-DD")
     synth.add_argument(
         "--skew",
-        type=float,
+        type=_non_negative_float,
         default=0.0,
-        help="recruitment skew exponent; project i gets weight (i+1)^-skew (default: 0, uniform)",
+        help="recruitment skew exponent, a number >= 0; project i gets weight (i+1)^-skew"
+        " (default: 0, uniform)",
     )
     synth.add_argument("--out", required=True, metavar="DIR", help="output directory")
     synth.set_defaults(func=cmd_synth)

@@ -26,7 +26,7 @@ import numpy as np
 
 
 class EmptyDatasetError(ValueError):
-    """No events remain after exclusion filtering."""
+    """No events to analyse: the input holds none, or exclusion filtering removed them all."""
 
 
 class InvalidTimestampError(ValueError):
@@ -57,7 +57,9 @@ _EPOCH_ORDINAL = EPOCH.toordinal()
 
 
 def to_micros(instant: datetime) -> int:
-    """UTC epoch microseconds of a timezone-aware instant."""
+    """UTC epoch microseconds of an instant; a naive one is UTC, as ``parse_timestamp`` reads it."""
+    if instant.tzinfo is None:
+        instant = instant.replace(tzinfo=timezone.utc)
     return (instant - EPOCH) // _MICROSECOND
 
 
@@ -539,16 +541,19 @@ def build_snapshot(
     the record with the earliest timestamp, ties going to the smallest
     project_id: a task is one unit of contribution and re-submissions are
     noise. Surviving events are sorted by (timestamp, volunteer_id, task_id)
-    so downstream derivation is deterministic. When ``observation_end`` is
-    absent it defaults to the maximum event timestamp.
+    so downstream derivation is deterministic. ``observation_end`` is kept
+    as its UTC instant and defaults to the maximum event timestamp. A naive
+    datetime, here or in an event, is read as UTC.
 
     Raises:
-        EmptyDatasetError: no events survive exclusion filtering.
+        EmptyDatasetError: the input holds no events, or none survive exclusion filtering.
         EventAfterObservationEndError: an event postdates ``observation_end``.
         ValueError: an event carries an empty id.
     """
     excluded = frozenset(exclusions)
     table = events if isinstance(events, EventTable) else EventTable.from_events(events)
+    if not len(table):
+        raise EmptyDatasetError("the input holds no events")
     dropped = [code for code, project_id in enumerate(table.project_ids) if project_id in excluded]
     rows = np.flatnonzero(~np.isin(table.project, dropped))
     if not rows.size:
@@ -570,6 +575,7 @@ def build_snapshot(
         observation_end = from_micros(latest)
     else:
         end = to_micros(observation_end)
+        observation_end = from_micros(end)
         if latest > end:
             offender = ordered[int(np.searchsorted(ordered.timestamp, end, side="right"))]
             raise EventAfterObservationEndError(

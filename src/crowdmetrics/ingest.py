@@ -11,8 +11,9 @@ default config.
 A CSV file in the common dialect (ASCII, unquoted, rows as wide as the
 header) is read by a byte path that indexes each block's newlines and commas
 and slices its fields in bulk; any other CSV, and every JSONL and API
-source, is read record by record, and one column builder codes its ids and
-parses its timestamps in bounded blocks. Both CSV paths give equal results.
+source, is read record by record: each source yields its records' fields to
+one loop that codes ids and parses timestamps in bounded blocks. Both CSV
+paths give equal results.
 
 Records without a volunteer identifier are anonymous contributions: the
 metrics need a stable identity to link events, so those records are dropped
@@ -210,18 +211,18 @@ def _parse_rest(
             parsed[index] = True
 
 
-def _column_builder(strict: bool):
-    """The columns of the record-by-record loaders, built a row at a time.
+def _load_records(pages: Iterable[tuple[str, Iterable[tuple[int, Any]]]], strict: bool) -> IngestResult:
+    """The one loop of the record-by-record loaders, over ``(source, [(position, fields)])`` pages.
 
-    Returns four closures (not methods: ``add`` runs once per row).
-    ``add(volunteer, task, project, raw_timestamp, source, position)`` codes
-    ids in arrival order and holds the raw timestamp, and in strict mode its
-    location, until the block ends: after ``_PARSE_CHUNK`` rows or at
-    ``end_block()``, which parses canonical values in one vectorised pass and
-    the rest by ``parse_timestamp``. ``reject(source, position, reason)``
-    tallies a malformed row or, in strict mode, raises it once the rows
-    before it are parsed, so the first bad record is the one reported.
-    ``finish(total, dropped)`` returns the ``IngestResult``.
+    ``fields`` is a record's ``(volunteer, task, project, raw_timestamp)``,
+    None for an anonymous record, or the error that makes it malformed. Ids
+    are coded in arrival order. Raw timestamps, and in strict mode their
+    locations, are held until a block ends, after ``_PARSE_CHUNK`` records
+    and at each page end; the block's canonical values are parsed in one
+    vectorised pass and the rest by ``parse_timestamp``. A malformed record
+    is tallied or, in strict mode, raised once the records before it are
+    parsed, so the first bad record is the one reported and a bad page fails
+    before the next one is fetched.
     """
     # id -> code; a new id gets the next code, so codes follow arrival order
     volunteer_codes: dict[str, int] = defaultdict(count().__next__)
@@ -231,21 +232,10 @@ def _column_builder(strict: bool):
     micros_blocks = [np.zeros(0, dtype=np.int64)]
     kept_blocks = [np.zeros(0, dtype=bool)]
     stamps: list[str] = []
-    locations: list[tuple[str, int]] = []  # (source, position) of each held row, in strict mode only
-    skipped = 0
-    block_rows = _PARSE_CHUNK
+    locations: list[tuple[str, int]] = []  # (source, position) of each held record, in strict mode only
+    total = dropped = skipped = 0
     add_volunteer, add_task, add_project = volunteers.append, tasks.append, projects.append
     add_stamp, add_location = stamps.append, locations.append
-
-    def add(volunteer: str, task: str, project: str, raw_timestamp: str, source: str, position: int) -> None:
-        add_volunteer(volunteer_codes[volunteer])
-        add_task(task_codes[task])
-        add_project(project_codes[project])
-        add_stamp(raw_timestamp)
-        if strict:
-            add_location((source, position))
-        if len(stamps) == block_rows:
-            end_block()
 
     def end_block() -> None:
         nonlocal skipped
@@ -259,22 +249,32 @@ def _column_builder(strict: bool):
         stamps.clear()
         locations.clear()
 
-    def reject(source: str, position: int, reason: str) -> None:
-        nonlocal skipped
-        if strict:
-            end_block()
-            raise MalformedRowError(source, position, reason)
-        skipped += 1
-
-    def finish(total: int, dropped: int) -> IngestResult:
+    for source, records in pages:
+        for position, fields in records:
+            total += 1
+            if isinstance(fields, tuple):
+                volunteer, task, project, raw_timestamp = fields
+                add_volunteer(volunteer_codes[volunteer])
+                add_task(task_codes[task])
+                add_project(project_codes[project])
+                add_stamp(raw_timestamp)
+                if strict:
+                    add_location((source, position))
+                if len(stamps) == _PARSE_CHUNK:
+                    end_block()
+            elif fields is None:
+                dropped += 1
+            elif strict:
+                end_block()
+                raise MalformedRowError(source, position, str(fields))
+            else:
+                skipped += 1
         end_block()
-        kept = np.concatenate(kept_blocks)
-        codes = [np.frombuffer(column, dtype=np.int32)[kept] for column in (volunteers, tasks, projects)]
-        micros = np.concatenate(micros_blocks)[kept]
-        events = EventTable.from_codes(volunteer_codes, task_codes, project_codes, *codes, micros)
-        return IngestResult(events, total_records=total, dropped_anonymous=dropped, skipped_malformed=skipped)
-
-    return add, end_block, reject, finish
+    kept = np.concatenate(kept_blocks)
+    codes = [np.frombuffer(column, dtype=np.int32)[kept] for column in (volunteers, tasks, projects)]
+    micros = np.concatenate(micros_blocks)[kept]
+    events = EventTable.from_codes(volunteer_codes, task_codes, project_codes, *codes, micros)
+    return IngestResult(events, total_records=total, dropped_anonymous=dropped, skipped_malformed=skipped)
 
 
 def load_file(config: IngestConfig) -> IngestResult:
@@ -497,84 +497,64 @@ def _decode_ids(keys: np.ndarray) -> tuple[str, ...]:
 
 
 def _load_csv_rows(config: IngestConfig) -> IngestResult:
-    """Read any CSV export with ``csv.reader``: row checks here, the rest in the column builder."""
+    """Read any CSV export with ``csv.reader``, a row at a time through ``_load_records``."""
     path = Path(config.location)
     source = str(path)
-    add, _, reject, finish = _column_builder(config.strict)
-    total = dropped = 0
     # utf-8-sig: a byte-order mark, as Excel's "CSV UTF-8" writes, is never data
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         columns = _resolve_csv_columns(_read_header(reader, source), config.field_map, source)
-        v_col, t_col, p_col, ts_col = (columns[name] for name in CANONICAL_FIELDS)
-        width = max(columns.values()) + 1
-        while True:
-            try:
-                for row in reader:
-                    if not row:
-                        continue  # blank line, not a record
-                    total += 1
-                    if len(row) < width:
-                        reject(source, reader.line_num, f"expected >= {width} columns, got {len(row)}")
-                        continue
-                    volunteer = row[v_col].strip()
-                    if not volunteer:
-                        dropped += 1
-                        continue
-                    task = row[t_col].strip()
-                    project = row[p_col].strip()
-                    if not task or not project:
-                        reject(source, reader.line_num, "missing task_id or project_id")
-                        continue
-                    add(volunteer, task, project, row[ts_col], source, reader.line_num)
-            except csv.Error as exc:  # e.g. a field over csv.field_size_limit(); the reader reads on
-                total += 1
-                reject(source, reader.line_num, str(exc))
-            else:
-                break
-    return finish(total, dropped)
+        return _load_records([(source, _csv_fields(reader, columns))], config.strict)
 
 
-def _load_records(
-    pages: Iterable[tuple[str, Iterable[tuple[int, Any]]]],
-    config: IngestConfig,
-    decode: Callable[[Any], Any] | None = None,
-) -> IngestResult:
-    """The record loop of the JSON-lines and API loaders, over ``(source, [(position, record)])`` pages.
+def _csv_fields(reader, columns: dict[str, int]) -> Iterator[tuple[int, Any]]:
+    """``(line number, fields)`` of each record ``reader`` reads after the header (see ``_load_records``)."""
+    v_col, t_col, p_col, ts_col = (columns[name] for name in CANONICAL_FIELDS)
+    width = max(columns.values()) + 1
+    while True:
+        try:
+            for row in reader:
+                if not row:
+                    continue  # blank line, not a record
+                if len(row) < width:
+                    yield reader.line_num, ValueError(f"expected >= {width} columns, got {len(row)}")
+                    continue
+                volunteer, task, project = row[v_col].strip(), row[t_col].strip(), row[p_col].strip()
+                if not volunteer:
+                    yield reader.line_num, None
+                elif not task or not project:
+                    yield reader.line_num, ValueError("missing task_id or project_id")
+                else:
+                    yield reader.line_num, (volunteer, task, project, row[ts_col])
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit(); the reader reads on
+            yield reader.line_num, exc
+        else:
+            return
 
-    ``decode`` turns a raw record into its JSON value first; a record that
-    fails to decode is malformed. Each page ends a timestamp block, so strict
-    mode fails on a bad page before the next one is fetched.
-    """
-    add, end_block, reject, finish = _column_builder(config.strict)
-    field_map = config.field_map
-    total = dropped = 0
-    for source, records in pages:
-        for position, record in records:
-            total += 1
-            try:
-                obj = decode(record) if decode else record
-                if not isinstance(obj, dict):
-                    raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-                fields = _fields_from_mapping(obj, field_map)
-            # JSONDecodeError is a ValueError; json.loads raises RecursionError on deep nesting
-            except (ValueError, RecursionError) as exc:
-                reject(source, position, str(exc))
-                continue
-            if fields is None:
-                dropped += 1
-            else:
-                add(*fields, source, position)
-        end_block()
-    return finish(total, dropped)
+
+def _json_fields(
+    records: Iterable[tuple[int, Any]], field_map: Mapping[str, str], decode: Callable[[Any], Any] | None = None
+) -> Iterator[tuple[int, Any]]:
+    """``(position, fields)`` of each ``(position, record)`` (see ``_load_records``), after any ``decode``."""
+    for position, record in records:
+        try:
+            obj = decode(record) if decode else record
+            if not isinstance(obj, dict):
+                raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+            fields = _fields_from_mapping(obj, field_map)
+        # JSONDecodeError is a ValueError; json.loads raises RecursionError on deep nesting
+        except (ValueError, RecursionError) as exc:
+            yield position, exc
+        else:
+            yield position, fields
 
 
 def _load_jsonl(config: IngestConfig) -> IngestResult:
     path = Path(config.location)
     # utf-8-sig: a byte-order mark is never data
     with path.open(encoding="utf-8-sig") as handle:
-        records = ((number, line) for number, line in enumerate(handle, start=1) if line.strip())
-        return _load_records([(str(path), records)], config, decode=json.loads)
+        lines = ((number, line) for number, line in enumerate(handle, start=1) if line.strip())
+        return _load_records([(str(path), _json_fields(lines, config.field_map, json.loads))], config.strict)
 
 
 def _cache_path(cache_dir: Path, url: str) -> Path:
@@ -679,11 +659,11 @@ def fetch_api(
         import requests
 
         session = requests.Session()
-    return _load_records(_api_pages(config, session, sleep), config)
+    return _load_records(_api_pages(config, session, sleep), config.strict)
 
 
 def _api_pages(config: IngestConfig, session: Any, sleep: Callable[[float], None]):
-    """Yield ``(page url, enumerate(records))`` page by page until a short page."""
+    """Yield ``(page url, fields of its records)`` page by page until a short page."""
     base = config.location.rstrip("/")
     cache_dir = Path(config.cache_dir) if config.cache_dir is not None else None
     offset = 0
@@ -692,7 +672,7 @@ def _api_pages(config: IngestConfig, session: Any, sleep: Callable[[float], None
         page = _get_page(url, session, sleep, cache_dir)
         if not isinstance(page, list):
             raise SchemaError(f"{url}: expected a JSON array, got {type(page).__name__}")
-        yield url, enumerate(page)
+        yield url, _json_fields(enumerate(page), config.field_map)
         if len(page) < config.page_size:
             return
         offset += config.page_size

@@ -107,6 +107,12 @@ class TestBuildSnapshot:
         with pytest.raises(EmptyDatasetError):
             build_snapshot([])
 
+    def test_empty_input_is_not_blamed_on_exclusion(self):
+        with pytest.raises(EmptyDatasetError, match="^the input holds no events$"):
+            build_snapshot([], exclusions=["p1"])
+        with pytest.raises(EmptyDatasetError, match="^no events survive exclusion filtering$"):
+            build_snapshot([ev("a", "t1", "p1", "2014-01-01T00:00")], exclusions=["p1"])
+
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError):
             build_snapshot([ev("", "t1", "p1", "2014-01-01T00:00")])
@@ -127,6 +133,23 @@ class TestBuildSnapshot:
         events = [ev("a", "t1", "p1", "2014-01-01T00:00")]
         snap = build_snapshot(events, observation_end=ts("2014-12-31T00:00"))
         assert snap.observation_end == ts("2014-12-31T00:00")
+
+    def test_observation_end_kept_as_its_utc_instant(self):
+        events = [ev("a", "t1", "p1", "2014-01-01T00:00")]
+        end = datetime(2014, 2, 1, 12, tzinfo=timezone(timedelta(hours=2)))
+        kept = build_snapshot(events, observation_end=end).observation_end
+        assert kept == ts("2014-02-01T10:00") and kept.utcoffset() == timedelta(0)
+
+    def test_naive_instants_are_utc(self):
+        aware = [ev("a", "t1", "p1", "2014-01-01T00:00"), ev("b", "t2", "p2", "2014-01-02T12:30")]
+        naive = [event._replace(timestamp=event.timestamp.replace(tzinfo=None)) for event in aware]
+        end = ts("2014-02-01T00:00")
+        assert build_snapshot(naive) == build_snapshot(aware)
+        assert build_snapshot(aware, observation_end=end.replace(tzinfo=None)) == build_snapshot(
+            aware, observation_end=end
+        )
+        with pytest.raises(EventAfterObservationEndError):
+            build_snapshot(aware, observation_end=datetime(2014, 1, 2, 12))
 
 
 @st.composite
@@ -343,6 +366,11 @@ class TestRegistrationOverride:
         late = ts("2014-04-01T00:00:00")
         with pytest.raises(ValueError, match="'b' postdates"):
             derive_profiles(snap, {"a": late, "c": late, "b": late})
+
+    def test_naive_registration_date_is_utc(self):
+        snap = build_snapshot([ev("v1", "t1", "p1", "2014-03-10T12:00:00")])
+        volunteers, _ = derive_profiles(snap, {"v1": datetime(2014, 1, 1, 6)})
+        assert volunteers["v1"].join_instant == ts("2014-01-01T06:00:00")
 
     def test_registration_equal_to_first_event_accepted(self):
         events = [ev("v1", "t1", "p1", "2014-03-10T12:00:00")]

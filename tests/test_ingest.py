@@ -1,5 +1,6 @@
 """CSV and JSON-lines ingestion: field mapping, tallies, strict mode."""
 
+import csv
 import json
 from datetime import datetime, timezone
 
@@ -35,6 +36,10 @@ def sample_events():
         ev("u2", "t2", "p1", "2014-01-02T11:30:00"),
         ev("u1", "t3", "p2", "2014-01-03T09:15:00"),
     ]
+
+
+#: A row whose timestamp field is over the limit, so ``csv.reader`` raises ``csv.Error`` for it.
+OVER_LIMIT_ROW = "u2,t2,p1," + "x" * (csv.field_size_limit() + 1)
 
 
 def write_lines(path, lines):
@@ -313,6 +318,8 @@ class TestCsvColumnarEdges:
         [
             (["u1,t1,p1,yesterday", "u2,t2"], 2, "unparseable"),
             (["u2,t2", "u1,t1,p1,yesterday"], 2, "columns"),
+            (["u1,t1,p1,yesterday", OVER_LIMIT_ROW], 2, "unparseable"),
+            ([OVER_LIMIT_ROW, "u1,t1,p1,yesterday"], 2, "field larger than field limit"),
         ],
     )
     def test_strict_reports_the_first_bad_row(self, tmp_path, rows, line, complaint):

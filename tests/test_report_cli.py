@@ -3,6 +3,7 @@
 import csv
 import json
 import threading
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from crowdmetrics.report import (
     write_report,
 )
 from crowdmetrics.stats import bootstrap_mean_ci
-from crowdmetrics.synth import SynthConfig, generate
+from crowdmetrics.synth import SynthConfig, generate, write_labels_csv
 from crowdmetrics.volunteers import PlatformClass
 from testkit import ev
 
@@ -62,6 +63,16 @@ class TestFingerprint:
         base = config_fingerprint(synth_snapshot, fast)
         trimmed = build_snapshot(synth_snapshot.events, exclusions=["p0000"])
         assert config_fingerprint(trimmed, fast) != base
+
+    def test_observation_end_is_the_same_instant_at_any_offset(self, synth_snapshot):
+        utc = datetime(2015, 1, 1, 10, tzinfo=timezone.utc)
+        ends = [utc, utc.astimezone(timezone(timedelta(hours=2))), utc.replace(tzinfo=None)]
+        snapshots = [build_snapshot(synth_snapshot.events, observation_end=end) for end in ends]
+        assert len({config_fingerprint(snapshot, fast) for snapshot in snapshots}) == 1
+        documents = [report_to_dict(build_report(snapshot, fast)) for snapshot in snapshots]
+        assert documents[0]["metadata"]["observation_end"] == "2015-01-01T10:00:00Z"
+        assert documents[1]["metadata"] == documents[0]["metadata"]
+        assert documents[2] == documents[0]  # a naive end is UTC
 
 
 class TestBuildReport:
@@ -477,6 +488,27 @@ class TestCli:
         assert {name: (out / name).read_bytes() for name in before} == before
         assert sorted(path.name for path in out.iterdir()) == ["events.csv", "labels.csv"]
 
+    @pytest.mark.parametrize("skew", ["-1", "nan"])
+    def test_negative_or_nan_skew_is_usage_error(self, tmp_path, capsys, skew):
+        with pytest.raises(SystemExit) as err:
+            run_cli("synth", "--skew", skew, "--out", str(tmp_path / "synthdata"))
+        assert err.value.code == 1
+        assert "--skew: must be a number >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "synthdata").exists()
+
+    @pytest.mark.parametrize("skew, weights", [("0", None), ("1.2", [k ** -1.2 for k in (1, 2, 3, 4)])])
+    def test_skew_writes_the_pair_of_its_weights(self, tmp_path, capsys, skew, weights):
+        # skew 0 is the uniform split, as if no weights were given
+        out = tmp_path / "synthdata"
+        argv = ("synth", "--seed", "3", "--projects", "4", "--volunteers", "400", "--skew", skew)
+        assert run_cli(*argv, "--out", str(out)) == 0
+        config = SynthConfig(seed=3, project_count=4, volunteer_count=400, recruitment_weights=weights)
+        events, labels = generate(config)
+        write_events_csv(events, tmp_path / "events.csv")
+        write_labels_csv(labels, tmp_path / "labels.csv")
+        for name in ("events.csv", "labels.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
     def test_exclude_project_shrinks_platform(self, event_csv, tmp_path, capsys):
         assert run_cli(
             "metrics", "--input", str(event_csv), "--bootstrap-resamples", "100",
@@ -528,6 +560,21 @@ class TestCli:
         )
         assert code == 2
         assert "postdates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows", [[], [",t1,p1,2014-01-01T00:00:00Z"], ["u1,t1,p1,whenever", "u2,,p1,2014-01-01T00:00:00Z"]]
+    )
+    def test_input_without_events_is_data_error_that_blames_no_exclusion(self, tmp_path, capsys, rows):
+        source = tmp_path / "events.csv"
+        lines = ["volunteer_id,task_id,project_id,timestamp", *rows]
+        source.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        assert run_cli("report", "--input", str(source), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "error: the input holds no events\n"
+
+    def test_excluding_every_project_is_data_error(self, event_csv, tmp_path, capsys):
+        excluded = [arg for k in range(6) for arg in ("--exclude-project", f"p{k:04d}")]
+        assert run_cli("report", "--input", str(event_csv), *excluded, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "error: no events survive exclusion filtering\n"
 
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert run_cli("report", "--input", str(tmp_path / "ghost.csv"), "--out", str(tmp_path)) == 2
