@@ -190,6 +190,7 @@ def _build_report(args: argparse.Namespace):
         "dropped_anonymous": result.dropped_anonymous,
         "skipped_malformed": result.skipped_malformed,
     }
+    del result  # the snapshot holds a copy of the events: free the loaded table for the report
     return build_report(
         snapshot, options, source_stats=stats, registration_dates=registrations
     )
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate.set_defaults(func=cmd_validate)
 
     synth = commands.add_parser("synth", help="generate a labeled synthetic event log")
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_non_negative_int, default=0)
     synth.add_argument("--projects", type=_positive_int, default=10)
     synth.add_argument("--volunteers", type=_positive_int, default=100)
     synth.add_argument("--start", type=_date_flag, default=date(2013, 1, 1), metavar="YYYY-MM-DD")

@@ -427,26 +427,30 @@ def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(boundary)
 
 
-def _distinct_days(day: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Distinct values per group of a sequence whose groups are each sorted."""
-    new_day = np.ones(len(day), dtype=bool)
-    np.not_equal(day[1:], day[:-1], out=new_day[1:])
-    new_day[starts] = True
-    return np.add.reduceat(new_day, starts, dtype=np.int64)
+def _first_and_last(groups: np.ndarray, size: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest of the integer ``values`` in each of ``size`` groups."""
+    first = np.full(size, np.iinfo(values.dtype).max, dtype=values.dtype)
+    np.minimum.at(first, groups, values)
+    last = np.full(size, np.iinfo(values.dtype).min, dtype=values.dtype)
+    np.maximum.at(last, groups, values)
+    return first, last
 
 
 class VolunteerProfiles(Mapping[str, VolunteerProfile]):
     """Per-volunteer counts over a snapshot's events, one array entry per volunteer code.
 
     Codes follow the snapshot's sorted volunteer table, so iteration is in
-    volunteer id order. ``__init__`` derives every array from the events in
-    snapshot order. The metrics read ``join`` and ``last`` (epoch
-    microseconds of the first and last event; ``derive_profiles`` may move
-    ``join`` back to a registration date), ``first_project`` (the recruiting
-    project's code: the first event's, ties going to the smaller task id),
-    ``active_day_count`` (distinct UTC days), ``explored`` (projects with a
-    task) and ``regular`` (projects with tasks on two or more days). A
-    ``VolunteerProfile`` is built only when a volunteer is looked up.
+    volunteer id order. ``__init__`` reduces the events, in snapshot order,
+    to the arrays the metrics read. ``join``, ``last`` and ``first_project``
+    are the timestamps and the project at each volunteer's smallest and
+    largest snapshot position: the first event, ties going to the smaller
+    task id, and the last (``derive_profiles`` may move ``join`` back to a
+    registration date). ``active_day_count`` counts each volunteer's
+    distinct sorted (day, volunteer) keys. ``explored`` counts the
+    (volunteer, project) pairs, grouped by one sort of their key, and
+    ``regular`` those whose largest UTC day exceeds their smallest: tasks on
+    two or more days. A ``VolunteerProfile`` is built only when a volunteer
+    is looked up.
     """
 
     def __init__(self, events: EventTable):
@@ -455,29 +459,26 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
         day = timestamp // DAY_MICROS
         self.ids = events.volunteer_ids
         self._events = events
+        count = len(self.ids)
 
-        # Each volunteer's events in snapshot order: the first is the join (ties
-        # already ordered by task_id), the last is the last instant. Volunteer
-        # c's events are by_volunteer[starts[c]:starts[c + 1]].
-        by_volunteer = np.argsort(volunteer, kind="stable")
-        starts = np.append(_group_starts(volunteer[by_volunteer]), len(events))
-        first = by_volunteer[starts[:-1]]
-        self.join = timestamp[first]
-        self.last = timestamp[by_volunteer[starts[1:] - 1]]
+        first, last = _first_and_last(volunteer, count, np.arange(len(events)))
+        self.join, self.last = timestamp[first], timestamp[last]
         self.first_project = project[first]
-        self.active_day_count = _distinct_days(day[by_volunteer], starts[:-1])
+        # one sorted key per (day, volunteer) event; the floor % gives the volunteer back
+        volunteer_day = np.sort(day * count + volunteer)
+        distinct = volunteer_day[_group_starts(volunteer_day)]
+        self.active_day_count = np.bincount(distinct % count, minlength=count)
 
-        # Each (volunteer, project) pair's events in snapshot order; the pair
-        # arrays are sorted by volunteer and then project.
+        # (volunteer, project) pairs, sorted by volunteer and then project
         pair_key = volunteer.astype(np.int64) * project_count + project
-        by_pair = np.argsort(pair_key, kind="stable")
+        by_pair = np.argsort(pair_key)
         pair_key = pair_key[by_pair]
         runs = _group_starts(pair_key)
         self._pair_volunteer = (pair_key[runs] // project_count).astype(np.int32)
         self._pair_project = (pair_key[runs] % project_count).astype(np.int32)
         self._pair_tasks = np.diff(np.append(runs, len(events)))
-        pair_regular = _distinct_days(day[by_pair], runs) >= 2
-        count = len(self.ids)
+        pair_day = day[by_pair]
+        pair_regular = np.maximum.reduceat(pair_day, runs) > np.minimum.reduceat(pair_day, runs)
         self.explored = np.bincount(self._pair_volunteer, minlength=count)
         self.regular = np.bincount(self._pair_volunteer[pair_regular], minlength=count)
         # volunteer c's pairs: _pair_starts[c]:_pair_starts[c + 1]
@@ -643,10 +644,7 @@ def derive_profiles(
     inherited_count = np.bincount(pair_project, minlength=project_count) - recruited_count
     recruited_tasks = np.zeros(project_count, dtype=np.int64)
     np.add.at(recruited_tasks, pair_project[recruit], pair_tasks[recruit])
-    project_first = np.full(project_count, np.iinfo(np.int64).max)
-    np.minimum.at(project_first, project, timestamp)
-    project_last = np.full(project_count, np.iinfo(np.int64).min)
-    np.maximum.at(project_last, project, timestamp)
+    project_first, project_last = _first_and_last(project, project_count, timestamp)
     projects = {
         project_id: ProjectProfile(
             project_id=project_id,

@@ -36,7 +36,7 @@ from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 from itertools import count
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -686,11 +686,14 @@ def load_events(config: IngestConfig) -> IngestResult:
 
 
 def format_timestamp(timestamp) -> str:
-    """Render a UTC instant in the canonical CSV form (trailing Z).
+    """Render an instant in the canonical CSV form: its UTC time and a trailing Z.
 
-    Whole seconds give ``YYYY-MM-DDTHH:MM:SSZ``; any other instant keeps
-    its microseconds (``.ffffff``), so re-reading the text gives it back.
+    A naive instant is UTC, as ``parse_timestamp`` reads it. Whole seconds
+    give ``YYYY-MM-DDTHH:MM:SSZ``; any other instant keeps its microseconds
+    (``.ffffff``), so re-reading the text gives it back.
     """
+    if timestamp.tzinfo not in (None, timezone.utc):
+        timestamp = timestamp.astimezone(timezone.utc)
     return timestamp.replace(tzinfo=None).isoformat() + "Z"
 
 

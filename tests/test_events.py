@@ -287,6 +287,21 @@ class TestDeriveProfiles:
         assert projects["pA"].recruited == {"v"}
         assert projects["pB"].inherited == {"v"}
 
+    def test_regular_needs_two_utc_days(self):
+        # two tasks on one UTC day do not make the pair regular; one second
+        # apart across midnight they do
+        events = [
+            ev("amy", "t1", "p1", "2014-01-01T00:00:00"),
+            ev("amy", "t2", "p1", "2014-01-01T23:59:59"),
+            ev("ben", "t3", "p1", "2014-01-01T23:59:59"),
+            ev("ben", "t4", "p1", "2014-01-02T00:00:00"),
+        ]
+        volunteers, _ = derive_profiles(build_snapshot(events))
+        assert volunteers["amy"].regular_project_count == 0
+        assert volunteers["amy"].active_day_count == 1
+        assert volunteers["ben"].regular_project_count == 1
+        assert volunteers["ben"].active_day_count == 2
+
     @given(any_event_lists)
     def test_matches_raw_event_oracle(self, events):
         snap = build_snapshot(events)
@@ -298,6 +313,7 @@ class TestDeriveProfiles:
             profile = volunteers[vid]
             assert set(profile.per_project_task_count) == fact["projects"]
             assert profile.active_days == fact["days"]
+            assert profile.active_day_count == len(fact["days"])
             assert profile.first_project == fact["first_project"]
             assert profile.join_instant == fact["join"]
             assert profile.last_instant == fact["last"]

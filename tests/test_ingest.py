@@ -2,7 +2,7 @@
 
 import csv
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -491,6 +491,22 @@ class TestWriteEventsCsv:
         path = tmp_path_factory.mktemp("round") / "out.csv"
         write_events_csv(events, path)
         assert load_file(IngestConfig(kind="csv-file", location=str(path), strict=True)).events == events
+
+    @pytest.mark.parametrize(
+        "tz, written",
+        [
+            (timezone(timedelta(hours=2)), "2014-02-01T10:00:00Z"),
+            (timezone(timedelta(hours=-5)), "2014-02-01T17:00:00Z"),
+            (None, "2014-02-01T12:00:00Z"),  # a naive instant is UTC
+        ],
+        ids=["+02:00", "-05:00", "naive"],
+    )
+    def test_instant_is_written_as_its_utc_form(self, tmp_path, tz, written):
+        path = tmp_path / "out.csv"
+        write_events_csv([ev("u", "t1", "p", datetime(2014, 2, 1, 12, tzinfo=tz))], path)
+        assert path.read_text(encoding="utf-8").splitlines()[1] == f"u,t1,p,{written}"
+        loaded = load_file(IngestConfig(kind="csv-file", location=str(path), strict=True)).events
+        assert loaded[0].timestamp == datetime(2014, 2, 1, 12, tzinfo=tz or timezone.utc)
 
     def test_failed_write_leaves_the_previous_file(self, tmp_path, sample_events):
         path = tmp_path / "out.csv"

@@ -1,8 +1,10 @@
 """Report assembly, artifact determinism, and the command-line interface."""
 
 import csv
+import gc
 import json
 import threading
+import weakref
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -487,6 +489,34 @@ class TestCli:
         assert "disk full" in capsys.readouterr().err
         assert {name: (out / name).read_bytes() for name in before} == before
         assert sorted(path.name for path in out.iterdir()) == ["events.csv", "labels.csv"]
+
+    def test_negative_synth_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "synthdata"
+        with pytest.raises(SystemExit) as err:
+            run_cli("synth", "--seed", "-1", "--projects", "3", "--volunteers", "50", "--out", str(out))
+        assert err.value.code == 1
+        assert "--seed: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_loaded_table_is_freed_before_the_report_is_built(self, event_csv, tmp_path, capsys, monkeypatch):
+        # the snapshot holds a copy of the events, so the load's table need not
+        # stay alive through the report stage
+        loaded = []
+
+        def load_and_watch(config):
+            result = load_events(config)
+            loaded.append(weakref.ref(result))
+            return result
+
+        def build_once_freed(*args, **kwargs):
+            gc.collect()
+            assert len(loaded) == 1 and loaded[0]() is None
+            return build_report(*args, **kwargs)
+
+        monkeypatch.setattr("crowdmetrics.cli.load_events", load_and_watch)
+        monkeypatch.setattr("crowdmetrics.cli.build_report", build_once_freed)
+        args = ("--input", str(event_csv), "--bootstrap-resamples", "100", "--out", str(tmp_path / "out"))
+        assert run_cli("report", *args) == 0
 
     @pytest.mark.parametrize("skew", ["-1", "nan"])
     def test_negative_or_nan_skew_is_usage_error(self, tmp_path, capsys, skew):
