@@ -173,6 +173,10 @@ def _config_from_args(args: argparse.Namespace) -> IngestConfig:
 
 def _build_report(args: argparse.Namespace):
     result = load_events(_config_from_args(args))
+    loaded_projects = set(result.events.project_ids)
+    for project_id in dict.fromkeys(args.exclude_project):
+        if project_id not in loaded_projects:
+            sys.stderr.write(f"warning: --exclude-project {project_id!r} matches no project in the input\n")
     snapshot = build_snapshot(
         result.events, observation_end=args.observation_end, exclusions=args.exclude_project
     )

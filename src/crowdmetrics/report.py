@@ -12,12 +12,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
+
+import numpy as np
 
 from ._version import __version__
 from .events import PlatformSnapshot, derive_profiles
@@ -39,6 +42,7 @@ from .volunteers import (
     PlatformClass,
     ProjectClass,
     VolunteerMetrics,
+    VolunteerRows,
     compute_volunteer_metrics,
 )
 
@@ -82,7 +86,7 @@ class MetricsReport:
     event_count: int
     duplicates_removed: int
     excluded_projects: tuple[str, ...]
-    volunteers: tuple[VolunteerMetrics, ...]
+    volunteers: VolunteerRows
     projects: tuple[ProjectBalances, ...]
     distribution: ClassDistribution
     gini_recruitment: float | None
@@ -144,18 +148,15 @@ def build_report(
     except UndefinedGiniError:
         gini_computing = None
 
-    ordered_metrics = tuple(metrics.values())
     ordered_balances = tuple(balances.values())
-    distribution = class_distribution(
-        (m.platform_class, m.project_class) for m in ordered_metrics
-    )
+    distribution = class_distribution(np.column_stack((metrics.platform, metrics.project)))
 
-    group_samples: dict[str, list[float]] = {name: [] for name in ACTIVITY_GROUPS}
-    for m in ordered_metrics:
-        if m.platform_class is not PlatformClass.REGULAR:
-            continue
-        name = ACTIVITY_GROUPS[0] if m.explored_projects == 1 else ACTIVITY_GROUPS[1]
-        group_samples[name].append(m.relative_activity_duration)
+    # the regulars' durations in volunteer id order, split by projects explored
+    regulars = metrics.platform == list(PlatformClass).index(PlatformClass.REGULAR)
+    single = metrics.explored == 1
+    group_samples = dict(
+        zip(ACTIVITY_GROUPS, (metrics.duration[regulars & single], metrics.duration[regulars & ~single]))
+    )
     # The groups' bootstraps draw from separate streams, and numpy releases
     # the GIL while drawing and gathering, so they run side by side.
     from concurrent.futures import ThreadPoolExecutor
@@ -170,7 +171,7 @@ def build_report(
                 seed=options.seed + index,
             )
             for index, (name, sample) in enumerate(group_samples.items())
-            if sample
+            if len(sample)
         }
     groups = [
         ActivityGroup(
@@ -188,7 +189,7 @@ def build_report(
         event_count=len(snapshot.events),
         duplicates_removed=snapshot.duplicates_removed,
         excluded_projects=tuple(sorted(snapshot.excluded_projects)),
-        volunteers=ordered_metrics,
+        volunteers=metrics.values(),
         projects=ordered_balances,
         distribution=distribution,
         gini_recruitment=gini_recruitment,
@@ -222,13 +223,25 @@ def _ecdf_doc(curve: Ecdf | None) -> dict | None:
 
 
 def report_to_dict(report: MetricsReport) -> dict:
-    """Plain JSON-serializable view of a report: the one source of every artifact.
+    """Plain JSON-serializable view of a report: the document every artifact shows.
 
-    ``report.json`` sorts its keys; the tables and plot files are written
-    from this document in its insertion order, so the order of each row's
-    keys here is the order of its table's columns. A volunteer row is its
-    ``VolunteerMetrics._asdict()``: the class cells hold the enum members,
-    ``str`` subclasses whose text, the one ``json`` and ``csv`` write, is their value.
+    ``report.json`` is this document with sorted keys. A volunteer row is
+    its ``VolunteerMetrics._asdict()``: the class cells hold the enum
+    members, ``str`` subclasses whose text, the one ``json`` writes, is their
+    value. The writers read ``_document``'s form, whose volunteer rows stay
+    columns.
+    """
+    doc = _document(report)
+    doc["volunteers"] = [m._asdict() for m in report.volunteers]
+    return doc
+
+
+def _document(report: MetricsReport) -> dict:
+    """``report_to_dict``'s document with ``report.volunteers`` in place of the volunteer list.
+
+    The tables and plot files are written from this document in its
+    insertion order, so the order of each row's keys here is the order of
+    its table's columns.
     """
     dist = report.distribution
     platform_pct = dist.platform_percentages()
@@ -292,7 +305,7 @@ def report_to_dict(report: MetricsReport) -> dict:
                 "computing": _ecdf_doc(report.ecdf_computing),
             },
         },
-        "volunteers": [m._asdict() for m in report.volunteers],
+        "volunteers": report.volunteers,
         "projects": [
             {
                 "project_id": b.project_id,
@@ -366,23 +379,82 @@ def _write_activity(doc: dict, handle: TextIO) -> None:
         handle.write(" ".join("NA" if v is None else str(_cell(v)) for v in row.values()) + "\n")
 
 
-#: Encoder chunks joined per write: a few hundred KB of text at a time.
-_JSON_CHUNKS_PER_WRITE = 4096
+#: Volunteer rows formatted per write: about 1.5 MB of report.json text at a time.
+_ROWS_PER_WRITE = 4096
+_FIELDS = VolunteerMetrics._fields
+#: Field positions in sorted key order, and one volunteer row of report.json.
+_JSON_ORDER = sorted(range(len(_FIELDS)), key=_FIELDS.__getitem__)
+_JSON_ROW = "    {\n" + ",\n".join(f"      {json.dumps(_FIELDS[i])}: %s" for i in _JSON_ORDER) + "\n    }"
+#: A CSV field that ``csv.writer`` quotes, with "\r\n" line ends.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _volunteer_columns(rows: VolunteerRows) -> Iterator[list]:
+    """The rows' ``VolunteerMetricsTable.columns``, ``_ROWS_PER_WRITE`` rows at a time."""
+    for start in range(0, len(rows), _ROWS_PER_WRITE):
+        yield rows.table.columns(slice(start, start + _ROWS_PER_WRITE))
+
+
+def _number_cells(column: np.ndarray, text: Callable[[object], str]) -> list[str]:
+    """``text`` of each number in ``column``, called once per distinct value.
+
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own text.
+    """
+    distinct, inverse = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
+    texts = np.array(list(map(text, distinct.view(column.dtype).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _json_cells(column) -> list[str]:
+    """Each cell's JSON text, as ``json`` writes it: a string ASCII-escaped and
+    quoted, an int or a finite float as its ``repr`` (every metric is finite)."""
+    if isinstance(column, np.ndarray):
+        return _number_cells(column, repr)
+    return list(map(encode_basestring_ascii, column))
+
+
+def _csv_cells(column) -> list[str]:
+    """Each cell as ``_write_table`` writes it: a float with 6 decimals, an int as it is.
+
+    A string is its plain ``str`` text (an enum member's is its value),
+    quoted, with its quotes doubled, where ``_NEEDS_QUOTES`` finds a character.
+    """
+    if isinstance(column, np.ndarray):
+        return _number_cells(column, "{:.6f}".format if column.dtype.kind == "f" else str)
+    texts = map(str.__str__, column)
+    return ['"%s"' % t.replace('"', '""') if _NEEDS_QUOTES.search(t) else t for t in texts]
 
 
 def _write_json(doc: dict, handle: TextIO) -> None:
-    """Write ``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` without building it."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
-    while batch := list(islice(chunks, _JSON_CHUNKS_PER_WRITE)):
-        handle.write("".join(batch))
-    handle.write("\n")
+    """Write ``json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"``.
+
+    ``doc`` is ``_document(report)``. "volunteers" is its last key in sorted
+    order, so ``json`` writes the rest of the document, whose closing "\n}"
+    the volunteer list then replaces, formatted from the columns
+    ``_ROWS_PER_WRITE`` rows at a time.
+    """
+    rest = {key: value for key, value in doc.items() if key != "volunteers"}
+    handle.write(json.dumps(rest, sort_keys=True, indent=2)[: -len("\n}")] + ',\n  "volunteers": [')
+    separator = "\n"
+    for columns in _volunteer_columns(doc["volunteers"]):
+        cells = [_json_cells(columns[i]) for i in _JSON_ORDER]
+        handle.write(separator + ",\n".join(map(_JSON_ROW.__mod__, zip(*cells))))
+        separator = ",\n"
+    handle.write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
 
 
-#: Artifact name -> writer of its view of the ``report_to_dict`` document,
+def _write_volunteers(doc: dict, handle: TextIO) -> None:
+    """``_write_table`` of ``report_to_dict(report)["volunteers"]``, formatted from the columns."""
+    handle.write(",".join(_FIELDS) + "\n")
+    for columns in _volunteer_columns(doc["volunteers"]):
+        handle.write("\n".join(map(",".join, zip(*map(_csv_cells, columns)))) + "\n")
+
+
+#: Artifact name -> writer of its view of the ``_document`` document,
 #: in write order: the JSON report and three tables, then the plot data.
 _ARTIFACTS: dict[str, Callable[[dict, TextIO], None]] = {
     "report.json": _write_json,
-    "volunteers.csv": lambda doc, handle: _write_table(doc["volunteers"], handle),
+    "volunteers.csv": _write_volunteers,
     "projects.csv": lambda doc, handle: _write_table(doc["projects"], handle),
     "platform.csv": _write_platform,
     "ecdf_recruitment.dat": lambda doc, handle: _write_ecdf(doc, "recruitment", handle),
@@ -404,7 +476,7 @@ def write_report(
 
     Always writes the JSON report and the three CSV tables; ``plot_data``
     adds the ECDF and CI data files. Every artifact is a view of one
-    ``report_to_dict`` document, so the same report gives the same bytes.
+    ``_document``, so the same report gives the same bytes.
     All are written as one set through ``_replacing``: if a writer raises,
     the previous set stays as it was, and if a rename fails, the artifacts
     renamed before it are this run's and the rest keep their previous
@@ -414,7 +486,7 @@ def write_report(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    doc = report_to_dict(report)
+    doc = _document(report)
     names = ARTIFACT_NAMES if plot_data else TABLE_ARTIFACT_NAMES
     with _replacing(*(out / name for name in names)) as temps:
         for name, temp in zip(names, temps):

@@ -252,22 +252,28 @@ class ClassDistribution:
 
 
 def class_distribution(
-    classes: Iterable[tuple[PlatformClass, ProjectClass]],
+    classes: Iterable[tuple[PlatformClass, ProjectClass]] | np.ndarray,
 ) -> ClassDistribution:
     """Count volunteers per class; both dimensions partition the volunteers.
+
+    ``classes`` holds one (platform, project) pair per volunteer: the class
+    members, or their indices into the enums' members as an (n, 2) integer
+    array, the form ``build_report`` passes.
 
     Raises:
         ValueError: with no volunteers the distribution is undefined.
     """
-    platform_counts = {cls: 0 for cls in PlatformClass}
-    project_counts = {cls: 0 for cls in ProjectClass}
-    total = 0
-    for platform_class, project_class in classes:
-        platform_counts[platform_class] += 1
-        project_counts[project_class] += 1
-        total += 1
+    if not isinstance(classes, np.ndarray):
+        platforms, projects = tuple(PlatformClass), tuple(ProjectClass)
+        pairs = [(platforms.index(platform), projects.index(project)) for platform, project in classes]
+        classes = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    total = len(classes)
     if total == 0:
         raise ValueError("class distribution requires at least one volunteer")
+    platform_counts = np.bincount(classes[:, 0], minlength=len(PlatformClass)).tolist()
+    project_counts = np.bincount(classes[:, 1], minlength=len(ProjectClass)).tolist()
     return ClassDistribution(
-        total=total, platform_counts=platform_counts, project_counts=project_counts
+        total=total,
+        platform_counts=dict(zip(PlatformClass, platform_counts)),
+        project_counts=dict(zip(ProjectClass, project_counts)),
     )

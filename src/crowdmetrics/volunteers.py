@@ -10,13 +10,15 @@ class; each dimension's classes are mutually exclusive and exhaustive.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import ItemsView
 from datetime import datetime
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .events import DAY_MICROS, ProjectProfile, VolunteerProfile, VolunteerProfiles, to_micros
+from .events import DAY_MICROS, ProjectProfile, VolunteerProfile, VolunteerProfiles, _find, to_micros
 
 #: Availability modes: "overlap" counts projects whose last event is not
 #: before the volunteer's join instant; "all" counts every project on the
@@ -50,6 +52,10 @@ class VolunteerMetrics(NamedTuple):
     relative_activity_duration: float
     platform_class: PlatformClass
     project_class: ProjectClass
+
+
+_PLATFORM_CLASSES = tuple(PlatformClass)
+_PROJECT_CLASSES = tuple(ProjectClass)
 
 
 def _available(join: np.ndarray, projects: Mapping[str, ProjectProfile], mode: str) -> np.ndarray:
@@ -147,7 +153,108 @@ def classify(
 ) -> tuple[PlatformClass, ProjectClass]:
     """Platform- and project-dimension classes of one volunteer (see ``_class_codes``)."""
     platform, project = _class_codes(active_day_count, explored_projects, regular_projects)
-    return tuple(PlatformClass)[platform], tuple(ProjectClass)[project]
+    return _PLATFORM_CLASSES[platform], _PROJECT_CLASSES[project]
+
+
+class VolunteerMetricsTable(Mapping[str, VolunteerMetrics]):
+    """Every volunteer's metrics and classes as columns, read as a mapping of rows.
+
+    ``volunteer_ids`` lists the ids in sorted order. ``available``,
+    ``explored``, ``regular`` and ``duration`` hold each volunteer's a, p, g
+    and relative activity duration, and ``platform`` and ``project`` the
+    class codes of ``_class_codes``, one entry per id. A ``VolunteerMetrics``
+    is built only when a volunteer is looked up or the rows are read;
+    ``values()`` is the rows as a sequence in id order.
+    """
+
+    def __init__(
+        self,
+        volunteer_ids: Sequence[str],
+        available: np.ndarray,
+        explored: np.ndarray,
+        regular: np.ndarray,
+        duration: np.ndarray,
+        platform: np.ndarray,
+        project: np.ndarray,
+    ):
+        self.volunteer_ids = volunteer_ids
+        self.available, self.explored, self.regular = available, explored, regular
+        self.duration, self.platform, self.project = duration, platform, project
+
+    def __len__(self) -> int:
+        return len(self.volunteer_ids)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.volunteer_ids)
+
+    def __getitem__(self, volunteer_id: str) -> VolunteerMetrics:
+        code = _find(self.volunteer_ids, volunteer_id) if isinstance(volunteer_id, str) else None
+        if code is None:
+            raise KeyError(volunteer_id)
+        return self.values()[code]
+
+    def values(self) -> VolunteerRows:
+        return VolunteerRows(self)
+
+    def items(self) -> ItemsView[str, VolunteerMetrics]:
+        return _Items(self)
+
+    def columns(self, rows: slice) -> list:
+        """The ``VolunteerMetrics`` columns of a slice of the rows, in field order.
+
+        The ids and the class members come as sequences, the counts and
+        the rates as int64 and float64 arrays.
+        """
+        available, explored, regular = self.available[rows], self.explored[rows], self.regular[rows]
+        return [
+            self.volunteer_ids[rows],
+            available,
+            explored,
+            regular,
+            explored / available,
+            regular / available,
+            self.duration[rows],
+            list(map(_PLATFORM_CLASSES.__getitem__, self.platform[rows].tolist())),
+            list(map(_PROJECT_CLASSES.__getitem__, self.project[rows].tolist())),
+        ]
+
+
+class _Items(ItemsView):
+    def __iter__(self) -> Iterator[tuple[str, VolunteerMetrics]]:
+        return zip(self._mapping, self._mapping.values())
+
+
+class VolunteerRows(Sequence[VolunteerMetrics]):
+    """A ``VolunteerMetricsTable``'s rows in volunteer id order, built from its columns when read.
+
+    Two row sequences are equal when they hold equal rows in the same order.
+    """
+
+    def __init__(self, table: VolunteerMetricsTable):
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        if isinstance(rows, range):
+            return tuple(map(self.__getitem__, rows))
+        return next(self._build(slice(rows, rows + 1)))
+
+    def __iter__(self) -> Iterator[VolunteerMetrics]:
+        return self._build(slice(None))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def _build(self, rows: slice) -> Iterator[VolunteerMetrics]:
+        columns = self.table.columns(rows)
+        return map(VolunteerMetrics, *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
 
 
 def compute_volunteer_metrics(
@@ -155,29 +262,21 @@ def compute_volunteer_metrics(
     projects: Mapping[str, ProjectProfile],
     observation_end: datetime,
     availability: str = "overlap",
-) -> dict[str, VolunteerMetrics]:
+) -> VolunteerMetricsTable:
     """Compute metrics and classes for every volunteer.
 
     Reads the per-volunteer count arrays of the profiles ``derive_profiles``
-    returns and computes each metric and class for all volunteers at once;
-    the rows are then zipped from the columns. The dict is built in volunteer
-    id order, the profiles' order.
+    returns and computes each metric and class for all volunteers at once.
+    The table holds the ids and its own arrays, not the profiles, so it does
+    not keep the snapshot's events alive.
     """
-    available = _available(volunteers.join, projects, availability)
-    explored = volunteers.explored
-    regular = volunteers.regular
-    duration = _activity_duration(volunteers.join, volunteers.last, to_micros(observation_end))
-    platform, project = _class_codes(volunteers.active_day_count, explored, regular)
-    rows = map(
-        VolunteerMetrics,
-        volunteers,
-        available.tolist(),
-        explored.tolist(),
-        regular.tolist(),
-        (explored / available).tolist(),
-        (regular / available).tolist(),
-        duration.tolist(),
-        map(tuple(PlatformClass).__getitem__, platform.tolist()),
-        map(tuple(ProjectClass).__getitem__, project.tolist()),
+    platform, project = _class_codes(volunteers.active_day_count, volunteers.explored, volunteers.regular)
+    return VolunteerMetricsTable(
+        volunteers.ids,
+        _available(volunteers.join, projects, availability),
+        volunteers.explored,
+        volunteers.regular,
+        _activity_duration(volunteers.join, volunteers.last, to_micros(observation_end)),
+        platform,
+        project,
     )
-    return dict(zip(volunteers, rows))

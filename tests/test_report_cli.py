@@ -2,17 +2,19 @@
 
 import csv
 import gc
+import io
 import json
 import threading
 import weakref
 from datetime import datetime, timedelta, timezone
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crowdmetrics import report as report_module
 from crowdmetrics.cli import main
-from crowdmetrics.events import build_snapshot
+from crowdmetrics.events import VolunteerProfiles, build_snapshot
 from crowdmetrics.ingest import IngestConfig, format_timestamp, load_events, write_events_csv
 from crowdmetrics.report import (
     ACTIVITY_GROUPS,
@@ -156,6 +158,29 @@ class TestBuildReport:
         assert volunteer_ids == sorted(volunteer_ids)
         assert project_ids == sorted(project_ids)
 
+    def test_report_keeps_neither_the_events_nor_the_profiles(self):
+        # the report holds its own per-volunteer arrays: once the snapshot is
+        # dropped, nothing it reaches may keep the snapshot's events or the
+        # profiles (whose pairs index those events) alive into the write
+        events, _ = generate(SynthConfig(seed=21, volunteer_count=120, project_count=9))
+        snapshot = build_snapshot(events)
+        event_table = snapshot.events
+        report = build_report(snapshot, fast)
+        del snapshot
+        gc.collect()
+        # an identity walk: EventTable has __slots__ and no __weakref__; classes
+        # and modules are not walked, since their namespaces reach everything
+        seen, pending = set(), [report]
+        while pending:
+            obj = pending.pop()
+            if id(obj) in seen or isinstance(obj, (type, ModuleType)):
+                continue
+            seen.add(id(obj))
+            assert obj is not event_table
+            assert not isinstance(obj, VolunteerProfiles)
+            pending.extend(gc.get_referents(obj))
+        assert id(report.volunteers.table.explored) in seen
+
 
 class TestSerialization:
     def test_report_dict_is_json_clean(self, synth_snapshot):
@@ -187,10 +212,10 @@ class TestSerialization:
         reread = json.loads(paths["report.json"].read_text(encoding="utf-8"))
         assert reread == report_to_dict(report)
 
-    @pytest.mark.parametrize("chunks_per_write", [None, 1, 7])
-    def test_json_bytes_match_dumps(self, synth_snapshot, tmp_path, monkeypatch, chunks_per_write):
-        if chunks_per_write is not None:
-            monkeypatch.setattr("crowdmetrics.report._JSON_CHUNKS_PER_WRITE", chunks_per_write)
+    @pytest.mark.parametrize("rows_per_write", [None, 1, 7])
+    def test_json_bytes_match_dumps(self, synth_snapshot, tmp_path, monkeypatch, rows_per_write):
+        if rows_per_write is not None:
+            monkeypatch.setattr("crowdmetrics.report._ROWS_PER_WRITE", rows_per_write)
         odd_ids = ["vé,1", 'v"2', "v\n3", "测试"]
         events = [
             ev(volunteer, f"t{i}", project, f"2014-01-0{1 + i % 3}T10:00")
@@ -204,6 +229,38 @@ class TestSerialization:
             paths = write_report(report, tmp_path / name)
             oracle = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
             assert paths["report.json"].read_bytes() == oracle.encode("utf-8")
+
+    @pytest.mark.parametrize("rows_per_write", [1, 7])
+    def test_volunteer_rows_match_oracles_across_batches(self, tmp_path, monkeypatch, rows_per_write):
+        monkeypatch.setattr("crowdmetrics.report._ROWS_PER_WRITE", rows_per_write)
+        # ids json escapes (non-ASCII, quote, backslash, tab) and csv quotes
+        # (comma, quote, "\r", "\n"), among plain ones, over several batches
+        odd_ids = ["vé", "测试", 'q"uote', "back\\slash", "t\tab", "com,ma", "cr\rid", "lf\nid", "nul\x00id"]
+        ids = odd_ids + [f"v{k:02d}" for k in range(12)]
+        events = [
+            ev(volunteer, f"t{i}-{j}", f"p{(i + j) % 4}", f"2014-01-{1 + (3 * i + 5 * j) % 20:02d}T10:00")
+            for i, volunteer in enumerate(ids)
+            for j in range(1 + i % 3)
+        ]
+        report = build_report(build_snapshot(events), fast)
+        assert len(report.volunteers) == len(ids) > 2 * rows_per_write
+        paths = write_report(report, tmp_path)
+        rows = [m._asdict() for m in report.volunteers]
+
+        document = {**report_to_dict(report), "volunteers": rows}
+        oracle = json.dumps(document, sort_keys=True, indent=2) + "\n"
+        assert paths["report.json"].read_bytes() == oracle.encode("utf-8")
+
+        # csv.writer under the table rule: floats with 6 decimals, "\n" line ends
+        lines = []
+        for cells in [list(rows[0])] + [
+            [f"{value:.6f}" if isinstance(value, float) else value for value in row.values()]
+            for row in rows
+        ]:
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+            lines.append(buffer.getvalue()[:-2] + "\n")
+        assert paths["volunteers.csv"].read_bytes() == "".join(lines).encode("utf-8")
 
     def test_text_artifact_bytes(self, tmp_path):
         # ids with a comma, a quote, a line break and non-ASCII characters; a
@@ -600,6 +657,29 @@ class TestCli:
         source.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
         assert run_cli("report", "--input", str(source), "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == "error: the input holds no events\n"
+
+    def test_unmatched_exclusions_are_flagged(self, event_csv, tmp_path, capsys):
+        excluded = ("p0000", "p9999", "nope", "p9999")
+        flags = [arg for project_id in excluded for arg in ("--exclude-project", project_id)]
+        args = ("--input", str(event_csv), "--bootstrap-resamples", "100", "--out", str(tmp_path / "cli"))
+        assert run_cli("report", *args, *flags) == 0
+        assert capsys.readouterr().err == (
+            "warning: --exclude-project 'p9999' matches no project in the input\n"
+            "warning: --exclude-project 'nope' matches no project in the input\n"
+        )
+        # the warning changes no artifact: the library, which does not warn, writes the same bytes
+        result = load_events(IngestConfig(kind="csv-file", location=str(event_csv)))
+        stats = {
+            "total_records": result.total_records,
+            "dropped_anonymous": result.dropped_anonymous,
+            "skipped_malformed": result.skipped_malformed,
+        }
+        snapshot = build_snapshot(result.events, exclusions=excluded)
+        report = build_report(snapshot, ReportOptions(bootstrap_resamples=100), source_stats=stats)
+        assert report.excluded_projects == ("nope", "p0000", "p9999")
+        paths = write_report(report, tmp_path / "library")
+        for name in ARTIFACT_NAMES:
+            assert (tmp_path / "cli" / name).read_bytes() == paths[name].read_bytes(), name
 
     def test_excluding_every_project_is_data_error(self, event_csv, tmp_path, capsys):
         excluded = [arg for k in range(6) for arg in ("--exclude-project", f"p{k:04d}")]
