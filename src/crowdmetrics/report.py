@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import re
 from dataclasses import dataclass
 from datetime import datetime
 from json.encoder import encode_basestring_ascii
@@ -149,10 +148,10 @@ def build_report(
         gini_computing = None
 
     ordered_balances = tuple(balances.values())
-    distribution = class_distribution(np.column_stack((metrics.platform, metrics.project)))
+    distribution = class_distribution(metrics.classes())
 
     # the regulars' durations in volunteer id order, split by projects explored
-    regulars = metrics.platform == list(PlatformClass).index(PlatformClass.REGULAR)
+    regulars = metrics.platform_regulars()
     single = metrics.explored == 1
     group_samples = dict(
         zip(ACTIVITY_GROUPS, (metrics.duration[regulars & single], metrics.duration[regulars & ~single]))
@@ -328,8 +327,8 @@ def _cell(value: object) -> object:
     return "" if value is None else value
 
 
-def _write_table(rows: list[dict], handle: TextIO) -> None:
-    """CSV of ``rows`` under a header of their keys, with "\n" line ends, one write per row.
+def _table_writer(handle: TextIO):
+    """A ``csv.writer`` onto ``handle`` with "\n" line ends, one write per row.
 
     Fields holding a comma, quote, "\r" or "\n" are quoted. The writer gets
     "\r\n" as its line terminator because it quotes only the line-terminator
@@ -337,7 +336,12 @@ def _write_table(rows: list[dict], handle: TextIO) -> None:
     row's terminator is swapped for "\n".
     """
     sink = SimpleNamespace(write=lambda line: handle.write(line[:-2] + "\n"))
-    writer = csv.writer(sink, lineterminator="\r\n")
+    return csv.writer(sink, lineterminator="\r\n")
+
+
+def _write_table(rows: list[dict], handle: TextIO) -> None:
+    """CSV of ``rows``' ``_cell``s under a header of their keys, through ``_table_writer``."""
+    writer = _table_writer(handle)
     writer.writerow(rows[0])
     writer.writerows(map(_cell, row.values()) for row in rows)
 
@@ -385,8 +389,6 @@ _FIELDS = VolunteerMetrics._fields
 #: Field positions in sorted key order, and one volunteer row of report.json.
 _JSON_ORDER = sorted(range(len(_FIELDS)), key=_FIELDS.__getitem__)
 _JSON_ROW = "    {\n" + ",\n".join(f"      {json.dumps(_FIELDS[i])}: %s" for i in _JSON_ORDER) + "\n    }"
-#: A CSV field that ``csv.writer`` quotes, with "\r\n" line ends.
-_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def _volunteer_columns(rows: VolunteerRows) -> Iterator[list]:
@@ -395,34 +397,23 @@ def _volunteer_columns(rows: VolunteerRows) -> Iterator[list]:
         yield rows.table.columns(slice(start, start + _ROWS_PER_WRITE))
 
 
-def _number_cells(column: np.ndarray, text: Callable[[object], str]) -> list[str]:
-    """``text`` of each number in ``column``, called once per distinct value.
+def _distinct_cells(column: np.ndarray, cell: Callable[[object], object]) -> list:
+    """``cell`` of each number in ``column``, called once per distinct value.
 
-    Values are told apart by their bits, so -0.0 and 0.0 keep their own text.
+    The counts and rates take few distinct values, and about a third of the
+    activity durations in a batch are distinct, so most cells are looked up,
+    not formatted.
     """
-    distinct, inverse = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
-    texts = np.array(list(map(text, distinct.view(column.dtype).tolist())), dtype=object)
-    return texts[inverse].tolist()
+    distinct, inverse = np.unique(column, return_inverse=True)
+    return np.array(list(map(cell, distinct.tolist())), dtype=object)[inverse].tolist()
 
 
-def _json_cells(column) -> list[str]:
+def _json_cells(column) -> Iterable[str]:
     """Each cell's JSON text, as ``json`` writes it: a string ASCII-escaped and
     quoted, an int or a finite float as its ``repr`` (every metric is finite)."""
     if isinstance(column, np.ndarray):
-        return _number_cells(column, repr)
-    return list(map(encode_basestring_ascii, column))
-
-
-def _csv_cells(column) -> list[str]:
-    """Each cell as ``_write_table`` writes it: a float with 6 decimals, an int as it is.
-
-    A string is its plain ``str`` text (an enum member's is its value),
-    quoted, with its quotes doubled, where ``_NEEDS_QUOTES`` finds a character.
-    """
-    if isinstance(column, np.ndarray):
-        return _number_cells(column, "{:.6f}".format if column.dtype.kind == "f" else str)
-    texts = map(str.__str__, column)
-    return ['"%s"' % t.replace('"', '""') if _NEEDS_QUOTES.search(t) else t for t in texts]
+        return _distinct_cells(column, repr)
+    return map(encode_basestring_ascii, column)
 
 
 def _write_json(doc: dict, handle: TextIO) -> None:
@@ -444,10 +435,15 @@ def _write_json(doc: dict, handle: TextIO) -> None:
 
 
 def _write_volunteers(doc: dict, handle: TextIO) -> None:
-    """``_write_table`` of ``report_to_dict(report)["volunteers"]``, formatted from the columns."""
-    handle.write(",".join(_FIELDS) + "\n")
+    """``_write_table`` of ``report_to_dict(report)["volunteers"]``, from the columns.
+
+    Only the counts and rates are numbers, so only they pass through ``_cell``.
+    """
+    writer = _table_writer(handle)
+    writer.writerow(_FIELDS)
     for columns in _volunteer_columns(doc["volunteers"]):
-        handle.write("\n".join(map(",".join, zip(*map(_csv_cells, columns)))) + "\n")
+        cells = (_distinct_cells(c, _cell) if isinstance(c, np.ndarray) else c for c in columns)
+        writer.writerows(zip(*cells))
 
 
 #: Artifact name -> writer of its view of the ``_document`` document,

@@ -12,6 +12,7 @@ number of projects grows, even when a single project holds everything.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -252,28 +253,25 @@ class ClassDistribution:
 
 
 def class_distribution(
-    classes: Iterable[tuple[PlatformClass, ProjectClass]] | np.ndarray,
+    classes: Iterable[tuple[PlatformClass, ProjectClass]],
 ) -> ClassDistribution:
     """Count volunteers per class; both dimensions partition the volunteers.
 
-    ``classes`` holds one (platform, project) pair per volunteer: the class
-    members, or their indices into the enums' members as an (n, 2) integer
-    array, the form ``build_report`` passes.
+    ``classes`` holds one (platform, project) pair per volunteer; the pairs
+    are counted first, then each distinct pair's count goes to both classes.
 
     Raises:
         ValueError: with no volunteers the distribution is undefined.
     """
-    if not isinstance(classes, np.ndarray):
-        platforms, projects = tuple(PlatformClass), tuple(ProjectClass)
-        pairs = [(platforms.index(platform), projects.index(project)) for platform, project in classes]
-        classes = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    total = len(classes)
+    platform_counts = {cls: 0 for cls in PlatformClass}
+    project_counts = {cls: 0 for cls in ProjectClass}
+    pairs = Counter(classes)
+    for (platform_class, project_class), count in pairs.items():
+        platform_counts[platform_class] += count
+        project_counts[project_class] += count
+    total = sum(pairs.values())
     if total == 0:
         raise ValueError("class distribution requires at least one volunteer")
-    platform_counts = np.bincount(classes[:, 0], minlength=len(PlatformClass)).tolist()
-    project_counts = np.bincount(classes[:, 1], minlength=len(ProjectClass)).tolist()
     return ClassDistribution(
-        total=total,
-        platform_counts=dict(zip(PlatformClass, platform_counts)),
-        project_counts=dict(zip(ProjectClass, project_counts)),
+        total=total, platform_counts=platform_counts, project_counts=project_counts
     )

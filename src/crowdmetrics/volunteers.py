@@ -11,9 +11,9 @@ class; each dimension's classes are mutually exclusive and exhaustive.
 from __future__ import annotations
 
 import operator
-from collections.abc import ItemsView
 from datetime import datetime
 from enum import Enum
+from itertools import product
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -56,6 +56,9 @@ class VolunteerMetrics(NamedTuple):
 
 _PLATFORM_CLASSES = tuple(PlatformClass)
 _PROJECT_CLASSES = tuple(ProjectClass)
+#: Every (platform class, project class) pair; the pair of class codes
+#: ``platform`` and ``project`` is at ``platform * len(ProjectClass) + project``.
+_CLASS_PAIRS = tuple(product(_PLATFORM_CLASSES, _PROJECT_CLASSES))
 
 
 def _available(join: np.ndarray, projects: Mapping[str, ProjectProfile], mode: str) -> np.ndarray:
@@ -196,8 +199,14 @@ class VolunteerMetricsTable(Mapping[str, VolunteerMetrics]):
     def values(self) -> VolunteerRows:
         return VolunteerRows(self)
 
-    def items(self) -> ItemsView[str, VolunteerMetrics]:
-        return _Items(self)
+    def platform_regulars(self) -> np.ndarray:
+        """Boolean mask of the platform regulars, in id order."""
+        return self.platform == _PLATFORM_CLASSES.index(PlatformClass.REGULAR)
+
+    def classes(self) -> Iterator[tuple[PlatformClass, ProjectClass]]:
+        """Each volunteer's (platform class, project class), in id order."""
+        codes = self.platform * len(_PROJECT_CLASSES) + self.project
+        return map(_CLASS_PAIRS.__getitem__, codes.tolist())
 
     def columns(self, rows: slice) -> list:
         """The ``VolunteerMetrics`` columns of a slice of the rows, in field order.
@@ -219,11 +228,6 @@ class VolunteerMetricsTable(Mapping[str, VolunteerMetrics]):
         ]
 
 
-class _Items(ItemsView):
-    def __iter__(self) -> Iterator[tuple[str, VolunteerMetrics]]:
-        return zip(self._mapping, self._mapping.values())
-
-
 class VolunteerRows(Sequence[VolunteerMetrics]):
     """A ``VolunteerMetricsTable``'s rows in volunteer id order, built from its columns when read.
 
@@ -236,11 +240,9 @@ class VolunteerRows(Sequence[VolunteerMetrics]):
     def __len__(self) -> int:
         return len(self.table)
 
-    def __getitem__(self, index):
-        rows = range(len(self))[index]
-        if isinstance(rows, range):
-            return tuple(map(self.__getitem__, rows))
-        return next(self._build(slice(rows, rows + 1)))
+    def __getitem__(self, index: int) -> VolunteerMetrics:
+        row = range(len(self))[index]
+        return next(self._build(slice(row, row + 1)))
 
     def __iter__(self) -> Iterator[VolunteerMetrics]:
         return self._build(slice(None))

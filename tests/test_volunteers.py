@@ -193,6 +193,16 @@ class TestComputeVolunteerMetrics:
             if m.project_class is ProjectClass.MULTI_PROJECT_REGULAR:
                 assert m.platform_class is PlatformClass.REGULAR
 
+    @given(event_lists())
+    def test_class_views_match_the_rows(self, events):
+        snap, volunteers, projects = profiles_from(events)
+        metrics = compute_volunteer_metrics(volunteers, projects, snap.observation_end)
+        rows = list(metrics.values())
+        assert list(metrics.classes()) == [(m.platform_class, m.project_class) for m in rows]
+        assert metrics.platform_regulars().tolist() == [
+            m.platform_class is PlatformClass.REGULAR for m in rows
+        ]
+
     def test_all_mode_uses_every_project(self):
         events = [
             ev("old", "t1", "dead", "2014-01-01T00:00"),
