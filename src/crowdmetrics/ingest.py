@@ -8,12 +8,13 @@ loader falls back to the canonical names (volunteer_id/.../timestamp) when a
 mapped column is absent, so files written by this package load with a
 default config.
 
-A CSV file in the common dialect (ASCII, unquoted, rows as wide as the
-header) is read by a byte path that indexes each block's newlines and commas
-and slices its fields in bulk; any other CSV, and every JSONL and API
-source, is read record by record: each source yields its records' fields to
-one loop that codes ids and parses timestamps in bounded blocks. Both CSV
-paths give equal results.
+A CSV file in the common dialect (ASCII, records as wide as the header, the
+header and the id and timestamp fields unquoted, other fields quoted or not)
+is read by a byte path that masks the commas and newlines inside quoted
+cells, indexes each block's remaining newlines and commas and slices its
+fields in bulk; any other CSV, and every JSONL and API source, is read record
+by record: each source yields its records' fields to one loop that codes ids
+and parses timestamps in bounded blocks. Both CSV paths give equal results.
 
 Records without a volunteer identifier are anonymous contributions: the
 metrics need a stable identity to link events, so those records are dropped
@@ -79,8 +80,9 @@ _PARSE_CHUNK = 1 << 16
 _BLOCK_BYTES = 1 << 20
 #: Widest id the CSV byte path codes; a block's id matrix stays within a few times the block.
 _MAX_ID_BYTES = 32
-#: The ASCII bytes that ``str.strip()`` removes, by byte value.
-_STRIPPED = np.array([chr(byte).isspace() for byte in range(128)])
+#: The ASCII bytes an id the byte path codes may not start or end with, by byte value:
+#: those ``str.strip()`` removes, and the quote of a quoted field.
+_ID_EDGE_BANNED = np.array([chr(byte).isspace() or chr(byte) == '"' for byte in range(128)])
 
 
 class MalformedRowError(ValueError):
@@ -102,7 +104,11 @@ class NetworkError(RuntimeError):
 
 
 class _Decline(Exception):
-    """The CSV byte path cannot promise ``csv.reader``'s result for a file; the message says why."""
+    """The CSV byte path cannot promise ``csv.reader``'s result for a file; the message says why.
+
+    Raised, for instance, for a quote that does not open or close a whole
+    field, or a quoted header, id or timestamp.
+    """
 
 
 @dataclass(frozen=True)
@@ -338,12 +344,17 @@ def _load_csv(config: IngestConfig) -> IngestResult:
 
 
 def _csv_blocks(handle) -> Iterator[np.ndarray]:
-    """A CSV file's bytes after any byte-order mark, as uint8 blocks that each end with a newline.
+    """A CSV file's bytes after any byte-order mark, as uint8 blocks of whole records.
 
-    A block is cut after its last newline (a final line that lacks one gets
-    it) and is followed by ``_MAX_ID_BYTES`` NULs, so a fixed-width gather
-    may read past the last field. Raises ``_Decline`` for a byte that
-    ``csv.reader`` or the text decoder treats in its own way.
+    A block is cut after its last newline outside quotes, so each block
+    starts outside quotes and no state passes between blocks; a final
+    record that lacks a newline gets one. Each block is followed by
+    ``_MAX_ID_BYTES`` NULs, so a fixed-width gather may read past the last
+    field. A block that holds a ``"`` is a copy whose quoted commas and
+    newlines are masked (see ``_mask_quoted``); any other block is a
+    read-only view of the bytes read. Raises ``_Decline`` for a record over
+    ``_BLOCK_BYTES``, and for a byte or quote that ``csv.reader`` or the
+    text decoder treats in its own way.
     """
     pending = handle.read(len(codecs.BOM_UTF8))
     if pending == codecs.BOM_UTF8:
@@ -351,39 +362,80 @@ def _csv_blocks(handle) -> Iterator[np.ndarray]:
     while True:
         chunk = handle.read(_BLOCK_BYTES)
         pending += chunk
-        cut = pending.rfind(b"\n") + 1 if chunk else len(pending)  # the end of the file ends a line
-        if not cut:
+        data = pending[: pending.rfind(b"\n") + 1 if chunk else len(pending)]  # the end of the file ends a record
+        quoted = b'"' in data
+        if quoted and chunk and data.count(b'"') % 2:  # its last newline is quoted: cut at the last one outside
+            chars = np.frombuffer(data, dtype=np.uint8)
+            newlines = np.flatnonzero(chars == ord("\n"))
+            outside = newlines[np.searchsorted(np.flatnonzero(chars == ord('"')), newlines) % 2 == 0]
+            data = data[: outside[-1] + 1 if len(outside) else 0]
+        if not data:
             if not chunk:
                 return
             if len(pending) > _BLOCK_BYTES:
-                raise _Decline(f"a line over {_BLOCK_BYTES} bytes")
+                raise _Decline(f"a record over {_BLOCK_BYTES} bytes")
             continue
-        data, pending = pending[:cut], pending[cut:]
-        if b'"' in data:
-            raise _Decline("a double quote")
+        pending = pending[len(data) :]
         if b"\0" in data:
             raise _Decline("a NUL byte")
         if not data.isascii():
             raise _Decline("a non-ASCII byte")
-        if b"\r" in data:  # each CR must start a CRLF
-            chars = np.frombuffer(data, dtype=np.uint8)
-            after = np.flatnonzero(chars == ord("\r")) + 1
-            if after[-1] == len(chars) or (chars[after] != ord("\n")).any():
-                raise _Decline("a CR not followed by LF")
         ending = b"" if data.endswith(b"\n") else b"\n"
-        yield np.frombuffer(data + ending + bytes(_MAX_ID_BYTES), dtype=np.uint8)
+        padded = data + ending + bytes(_MAX_ID_BYTES)
+        buf = _mask_quoted(padded) if quoted else np.frombuffer(padded, dtype=np.uint8)
+        if b"\r" in data:  # each CR outside quotes must start a CRLF
+            after = np.flatnonzero(buf[: len(data)] == ord("\r")) + 1
+            if data.endswith(b"\r") or (buf[after] != ord("\n")).any():
+                raise _Decline("a CR not followed by LF")
+        yield buf
+
+
+def _mask_quoted(padded: bytes) -> np.ndarray:
+    """A writable copy of a block in which each comma, LF and CR inside a quoted cell is a space.
+
+    A byte lies inside quotes when an odd number of quotes precede it
+    (Langdale & Lemire's in-string mask, as the parity of a
+    ``searchsorted`` rank); the two quotes of an escaped ``""`` flip that
+    parity twice. Raises ``_Decline`` for a quote that ``csv.reader`` reads
+    another way: an unclosed one, an opening quote that neither starts a
+    field nor follows a closing quote (``ab"c`` keeps its quote), and a
+    closing quote followed by anything but a comma, LF, CRLF or a quote
+    (``"a"b`` reads on, quotes literal).
+    """
+    buf = np.frombuffer(padded, dtype=np.uint8).copy()
+    quotes = np.flatnonzero(buf == ord('"'))
+    if len(quotes) % 2:
+        raise _Decline("an unclosed quote")
+    opening, closing = quotes[::2], quotes[1::2]
+    before = buf[opening - 1]  # a quote that starts the block reads the padding NUL at buf[-1]
+    opens_field = (opening == 0) | (before == ord(",")) | (before == ord("\n"))
+    opens_field[1:] |= opening[1:] == closing[:-1] + 1  # the second quote of a "" escape
+    if not opens_field.all():
+        raise _Decline("a quote inside an unquoted field")
+    after = buf[closing + 1]
+    crlf = (after == ord("\r")) & (buf[closing + 2] == ord("\n"))
+    if not ((after == ord(",")) | (after == ord("\n")) | (after == ord('"')) | crlf).all():
+        raise _Decline("text after a closing quote")
+    separators = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")) | (buf == ord("\r")))
+    buf[separators[np.searchsorted(quotes, separators) % 2 == 1]] = ord(" ")
+    return buf
 
 
 def _load_csv_bytes(handle, config: IngestConfig, source: str) -> IngestResult:
     """The byte path of ``_load_csv``: index each block's newlines and commas, then slice fields in bulk.
 
-    Raises ``_Decline`` wherever its result could differ from the
-    ``csv.reader`` loop's: a special byte (see ``_csv_blocks``), a line over
-    the field size limit, a row whose comma count differs from the header's,
-    a kept row's id that is empty, padded with whitespace or over
-    ``_MAX_ID_BYTES``, or, in strict mode, a timestamp that does not parse.
-    So it reads only files with no malformed record but for, in lenient
-    mode, unparseable timestamps. An empty volunteer id is an anonymous record.
+    A field that starts with a quote is a quoted cell: its commas and
+    newlines are masked, so it counts as one field, and only the fields the
+    events do not use may be quoted. Raises ``_Decline`` wherever its result
+    could differ from the ``csv.reader`` loop's: a special byte or misplaced
+    quote (see ``_csv_blocks``), a quote in the header, a record over the
+    field size limit, a record whose comma count differs from the header's,
+    a kept record's id that is empty, quoted, padded with whitespace or over
+    ``_MAX_ID_BYTES``, a kept record's quoted timestamp, or, in strict mode,
+    a timestamp that does not parse. So it reads only files with no
+    malformed record but for, in lenient mode, unparseable timestamps. An
+    empty volunteer id is an anonymous record, whatever its other fields
+    hold.
     """
     limit = csv.field_size_limit()
     id_fields = CANONICAL_FIELDS[:3]
@@ -394,13 +446,15 @@ def _load_csv_bytes(handle, config: IngestConfig, source: str) -> IngestResult:
     for buf in _csv_blocks(handle):
         newlines = np.flatnonzero(buf == ord("\n"))
         starts = np.concatenate(([0], newlines[:-1] + 1))
-        # a CRLF line ends before its CR; every CR precedes a newline, and a
-        # line starting the block reads the padding NUL at buf[-1]
+        # a CRLF record ends before its CR; every unmasked CR precedes a newline,
+        # and a record starting the block reads the padding NUL at buf[-1]
         ends = newlines - (buf[newlines - 1] == ord("\r"))
         if (ends - starts).max() > limit:  # it may hold a field over the limit
-            raise _Decline("a line over the field size limit")
-        if columns is None:  # the first line is the header
+            raise _Decline("a record over the field size limit")
+        if columns is None:  # the first record is the header
             header = buf[: ends[0]].tobytes().decode("ascii")
+            if '"' in header:  # its masked names are not the names csv.reader reads
+                raise _Decline("a quote in the header")
             columns = _resolve_csv_columns(_read_header(csv.reader([header]), source), config.field_map, source)
             separators = header.count(",")
             starts, ends = starts[1:], ends[1:]
@@ -425,7 +479,9 @@ def _load_csv_bytes(handle, config: IngestConfig, source: str) -> IngestResult:
         for first, last in ids:
             if (last == first).any():
                 raise _Decline("an empty id")
-            if (_STRIPPED[buf[first]] | _STRIPPED[buf[last - 1]]).any():
+            if (_ID_EDGE_BANNED[buf[first]] | _ID_EDGE_BANNED[buf[last - 1]]).any():
+                if (buf[first] == ord('"')).any():
+                    raise _Decline("a quoted id or timestamp")
                 raise _Decline("an id with leading or trailing whitespace")
             if (last - first).max(initial=0) > _MAX_ID_BYTES:
                 raise _Decline(f"an id over {_MAX_ID_BYTES} bytes")
@@ -440,7 +496,9 @@ def _load_csv_bytes(handle, config: IngestConfig, source: str) -> IngestResult:
         def stamp(index: int) -> str:
             return buf[stamp_first[index] : stamp_last[index]].tobytes().decode("ascii")
 
-        for _ in _parse_rest(micros, parsed, stamp):
+        for index, _ in _parse_rest(micros, parsed, stamp):
+            if buf[stamp_first[index]] == ord('"'):  # no quoted value parses, but unquoted it may
+                raise _Decline("a quoted id or timestamp")
             if config.strict:
                 raise _Decline("a timestamp that strict mode raises for")
             skipped += 1

@@ -1,9 +1,13 @@
 """The CSV loader's two paths agree: the byte path and the ``csv.reader`` loop.
 
-A file in the common dialect (ASCII, no quotes, LF or CRLF line ends, rows
-as wide as the header, ids neither empty nor padded) is read by the byte
-path; any other file declines to ``csv.reader``. Generated files lean toward
-that dialect and toward each decline trigger. Wherever the byte path
+A file in the common dialect (ASCII, LF or CRLF line ends, records as wide
+as the header, ids neither empty nor padded, the header, ids and timestamps
+unquoted, and any other field either unquoted and quote-free or quoted
+whole: opened at the field's start and closed just before a comma, a line
+end or the quote of a ``""`` escape) is read by the byte path; any other
+file declines to ``csv.reader``. Generated files lean toward that dialect,
+put quoted cells holding commas, escapes and line ends into the unused
+columns, and lean toward each decline trigger. Wherever the byte path
 answers, it must give what the ``csv.reader`` loop gives: equal
 ``EventTable``s and tallies, or the same exception, line and message.
 """
@@ -49,6 +53,11 @@ stamps = mostly(
         "2014-01-01T24:00:00Z", "0001-01-01T00:00:00+01:00", "yesterday", "",
     ]),
 )
+#: Cells of the unused columns: quoted ones that ``csv.reader`` unquotes, and near misses it reads otherwise.
+extras = mostly(ids, st.sampled_from([
+    '"a,b"', '"a""b"', '"a\nb"', '"a\r\nb"', '"a\rb"', '""', '"{""answer"": ""1""}"',
+    'a"b', '"a"b', '"a" ', '"a',
+]))
 #: One cell that makes the byte path decline, or for the empty id only when its row is not anonymous.
 triggers = st.sampled_from([
     '"u1"', "a,b", "a\x00b", "ü", "u1\r", " u1", "u1 ", "u1\x1c", "\tu1", "", "w" * 33,
@@ -60,7 +69,10 @@ def csv_files(draw):
     header = list(draw(st.permutations(draw(st.sampled_from([FIELDS, CANONICAL])))))
     for _ in range(draw(st.integers(0, 2))):
         header.insert(draw(st.integers(0, len(header))), "extra")
-    cells = [stamps if name in STAMP_NAMES else volunteers if name in VOLUNTEER_NAMES else ids for name in header]
+    cells = [
+        stamps if name in STAMP_NAMES else volunteers if name in VOLUNTEER_NAMES else extras if name == "extra" else ids
+        for name in header
+    ]
     rows = [[draw(cell) for cell in cells] for _ in range(draw(st.integers(0, 8)))]
     if rows and draw(st.booleans()):  # one decline trigger
         row = rows[draw(st.integers(0, len(rows) - 1))]
@@ -149,6 +161,21 @@ def test_ids_of_both_key_widths_across_blocks(tmp_path):
     assert events.task_ids == ("t1", "t" * 8, "t" * 20)
 
 
+def test_quoted_cells_never_cut_inside_quotes(tmp_path):
+    """A quoted cell across a block cut is read whole; one over a block declines, as a long line does."""
+    path = tmp_path / "events.csv"
+    config = IngestConfig(kind="csv-file", location=str(path))
+    for cell, fits in [('"' + "a,\r\n" * 5 + '"', True), ('"' + "a,\n" * 30 + '"', False)]:
+        rows = [f"u{day},t1,p1,2014-01-0{day}T00:00:00Z,{cell}" for day in range(1, 4)]
+        path.write_text("\n".join([HEADER + ",info", *rows]), encoding="utf-8", newline="")
+        with mock.patch.object(ingest, "_BLOCK_BYTES", 64):
+            if fits:
+                assert assert_paths_agree(path, strict=True)
+            else:
+                with pytest.raises(_Decline, match="^a record over 64 bytes$"):
+                    byte_path(config)
+
+
 class TestWhichPathRan:
     """``_load_csv`` logs which path read a file, and why the byte path declined."""
 
@@ -165,13 +192,25 @@ class TestWhichPathRan:
         crlf = tmp_path / "crlf.csv"
         write_events_csv([ev("u1", "t1", "p1", "2014-01-01T10:00:00"), ev("u2", "t2", "p1", "2014-01-02")], crlf)
         assert b"\r\n" in crlf.read_bytes()
+        pybossa = tmp_path / "pybossa.csv"
+        pybossa.write_text(
+            "id,project_id,task_id,user_id,finish_time,info\n"
+            '1,p1,t1,u1,2014-01-01T10:00:00Z,"{""answer"": ""1"", ""tags"": [""a"", ""b""]}"\n'
+            '2,p1,t2,,2014-01-01T11:00:00Z,"{""answer"": """"}"\n',
+            encoding="utf-8",
+        )
         assert self.path_taken(caplog, lf) == "read by the byte path"
         assert self.path_taken(caplog, crlf) == "read by the byte path"
+        assert self.path_taken(caplog, pybossa) == "read by the byte path"
 
     @pytest.mark.parametrize(
         "row, reason",
         [
-            ('"u,1",t1,p1,2014-01-01T10:00:00Z', "a double quote"),
+            ('"u,1",t1,p1,2014-01-01T10:00:00Z', "a quoted id or timestamp"),
+            ('u1,t1,p1,"2014-01-01T10:00:00Z"', "a quoted id or timestamp"),
+            ('u1,t"1",p1,2014-01-01T10:00:00Z', "a quote inside an unquoted field"),
+            ('u1,"t1"x,p1,2014-01-01T10:00:00Z', "text after a closing quote"),
+            ('u1,t1,"p1,2014-01-01T10:00:00Z', "an unclosed quote"),
             ("u\x001,t1,p1,2014-01-01T10:00:00Z", "a NUL byte"),
             ("ü1,t1,p1,2014-01-01T10:00:00Z", "a non-ASCII byte"),
             ("u1,t1\r,p1,2014-01-01T10:00:00Z", "a CR not followed by LF"),
@@ -180,11 +219,16 @@ class TestWhichPathRan:
             ("u1,t1,p1", "a row whose comma count differs from the header's"),
             ("u1,t1,p1,2014-01-01T10:00:00Z,extra", "a row whose comma count differs from the header's"),
             ("u1,t1," + "p" * 33 + ",2014-01-01T10:00:00Z", "an id over 32 bytes"),
-            ("u1,t1," + "p" * 140_000 + ",2014-01-01T10:00:00Z", "a line over the field size limit"),
+            ("u1,t1," + "p" * 140_000 + ",2014-01-01T10:00:00Z", "a record over the field size limit"),
         ],
-        ids=["quote", "nul", "non-ascii", "lone-cr", "padded", "empty", "short", "long", "wide", "over-limit"],
+        ids=["quote", "quoted-stamp", "inner-quote", "after-quote", "unclosed", "nul", "non-ascii", "lone-cr", "padded", "empty", "short", "long", "wide", "over-limit"],
     )
     def test_other_files_decline_with_their_reason(self, tmp_path, caplog, row, reason):
         path = tmp_path / "dirty.csv"
         path.write_text("\n".join([HEADER, ROWS[0], row, ""]), encoding="utf-8", newline="")
         assert self.path_taken(caplog, path) == f"read by csv.reader: {reason}"
+
+    def test_a_quote_in_the_header_declines(self, tmp_path, caplog):
+        path = tmp_path / "dirty.csv"
+        path.write_text("\n".join(['"volunteer_id",task_id,project_id,timestamp', ROWS[0], ""]), encoding="utf-8")
+        assert self.path_taken(caplog, path) == "read by csv.reader: a quote in the header"
