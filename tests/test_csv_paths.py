@@ -221,7 +221,10 @@ class TestWhichPathRan:
             ("u1,t1," + "p" * 33 + ",2014-01-01T10:00:00Z", "an id over 32 bytes"),
             ("u1,t1," + "p" * 140_000 + ",2014-01-01T10:00:00Z", "a record over the field size limit"),
         ],
-        ids=["quote", "quoted-stamp", "inner-quote", "after-quote", "unclosed", "nul", "non-ascii", "lone-cr", "padded", "empty", "short", "long", "wide", "over-limit"],
+        ids=[
+            "quote", "quoted-stamp", "inner-quote", "after-quote", "unclosed",
+            "nul", "non-ascii", "lone-cr", "padded", "empty", "short", "long", "wide", "over-limit",
+        ],
     )
     def test_other_files_decline_with_their_reason(self, tmp_path, caplog, row, reason):
         path = tmp_path / "dirty.csv"
