@@ -23,6 +23,7 @@ from itertools import compress, count
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class EmptyDatasetError(ValueError):
@@ -101,53 +102,87 @@ def parse_timestamp(raw: str) -> datetime:
         raise InvalidTimestampError(f"timestamp out of range: {raw!r}") from exc
 
 
-#: Character positions of the canonical ``YYYY-MM-DDTHH:MM:SSZ`` form.
-_CANONICAL_SEPARATORS = ((4, "-"), (7, "-"), (10, "T"), (13, ":"), (16, ":"), (19, "Z"))
-_CANONICAL_NUMBERS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
+#: Widths of the fixed-width ISO-8601 forms the vectorised kernel reads: ``YYYY-MM-DD?HH:MM:SS``
+#: (``?`` is ``T`` or a space), then an optional ``.ffffff``, then nothing, ``Z`` or ``±HH:MM``.
+_ISO_WIDTHS = (19, 20, 25, 26, 27, 32)
+#: Character positions of the ``YYYY-MM-DD?HH:MM:SS`` part every form starts with.
+_DATE_TIME_SEPARATORS = ((4, "-"), (7, "-"), (13, ":"), (16, ":"))
+_DATE_TIME_NUMBERS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
+_MIN_MICROS = to_micros(datetime.min)
+_MAX_MICROS = to_micros(datetime.max)
 
 
 def parse_canonical_timestamps(raw: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch microseconds of the values in exactly ``YYYY-MM-DDTHH:MM:SSZ`` form.
+    """Epoch microseconds of the values in one of the fixed-width ISO-8601 forms.
 
     Returns the int64 microseconds and a mask of the values parsed. A value
-    is parsed only when it has exactly 20 characters in that shape and names
-    a real instant; every other value, including canonical-shaped ones such
-    as ``2014-02-30T00:00:00Z``, is left out of the mask for
-    ``parse_timestamp``, so callers keep its results and error messages.
-    The temporaries grow with ``len(raw)``: callers pass bounded blocks.
+    is parsed only when it is exactly one of the ``_ISO_WIDTHS`` forms and
+    ``parse_timestamp`` reads it as the same instant (see
+    ``_fixed_width_micros``); every other value, such as
+    ``2014-02-30T00:00:00Z``, ``...+24:00`` or a padded one, is left out of
+    the mask for ``parse_timestamp``, so callers keep its results and error
+    messages. The temporaries grow with ``len(raw)``: callers pass bounded
+    blocks.
     """
-    count = len(raw)
-    micros = np.zeros(count, dtype=np.int64)
-    parsed = np.fromiter(map(len, raw), dtype=np.int32, count=count) == 20
-    if parsed.any():  # targets are assigned left to right: ``micros`` reads the shape mask
-        # "replace" encodes each non-ASCII code point as one "?", so every value
-        # stays 20 bytes long and fails the digit or separator checks
-        text = "".join(compress(raw, parsed.tolist())).encode("ascii", "replace")
-        chars = np.frombuffer(text, dtype=np.uint8).reshape(-1, 20)
-        micros[parsed], parsed[parsed] = _canonical_micros(chars)
-    return micros, parsed
+    widths = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
+    widths[widths > _ISO_WIDTHS[-1]] = 0  # left out of the text, and no form is 0 wide
+    # "replace" encodes each non-ASCII code point as one "?", so every value
+    # keeps its width and fails the digit or separator checks
+    text = "".join(compress(raw, widths.tolist())).encode("ascii", "replace")
+    return _canonical_micros(np.frombuffer(text, dtype=np.uint8), np.cumsum(widths) - widths, widths)
 
 
-def _canonical_micros(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Microseconds and validity of the rows of an ``(n, 20)`` uint8 matrix of bytes.
+def _canonical_micros(buf: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Microseconds and validity of the values ``buf[starts[i] : starts[i] + widths[i]]`` of a uint8 buffer.
 
     The kernel of ``parse_canonical_timestamps``, for callers that hold the
-    bytes already: a row is valid when it spells a real instant in exactly
-    ``YYYY-MM-DDTHH:MM:SSZ`` form, and an invalid row reads 0.
+    bytes already. The values of each width in ``_ISO_WIDTHS`` are gathered
+    into one matrix and read by ``_fixed_width_micros``; a value of any
+    other width is invalid, and an invalid value reads 0.
     """
+    micros = np.zeros(len(starts), dtype=np.int64)
+    valid = np.zeros(len(starts), dtype=bool)
+    for width in _ISO_WIDTHS:
+        rows = np.flatnonzero(widths == width)
+        if not len(rows):
+            continue
+        chars = sliding_window_view(buf, width)
+        if len(rows) == len(starts):  # one form throughout, as in a file this package writes
+            return _fixed_width_micros(chars[starts])
+        micros[rows], valid[rows] = _fixed_width_micros(chars[starts[rows]])
+    return micros, valid
+
+
+def _fixed_width_micros(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Microseconds and validity of the rows of an ``(n, width)`` uint8 matrix, one ``_ISO_WIDTHS`` form.
+
+    The width fixes the form: a ``.ffffff`` fraction when it is 26 or more,
+    and after it nothing, ``Z`` or ``±HH:MM`` (a naive value is UTC). A row
+    is valid when it spells a real instant in that form which
+    ``parse_timestamp`` reads as the same instant. So the rows left to it
+    include an offset hour over 23 or minute over 59 (Python reads
+    ``+01:60`` as ``+02:00``), an offset that moves the instant out of
+    years 1 to 9999, and a lowercase ``z``.
+    """
+    width = chars.shape[1]
+    fraction = width >= 26
+    zone = width - (26 if fraction else 19)  # 0, 1 or 6 characters
     valid = np.ones(len(chars), dtype=bool)
-    for position, separator in _CANONICAL_SEPARATORS:
-        valid &= chars[:, position] == ord(separator)
-    numbers = []
-    for start, stop in _CANONICAL_NUMBERS:
+
+    def number(start: int, stop: int) -> np.ndarray:
+        nonlocal valid
         value = np.zeros(len(chars), dtype=np.int32)
         for position in range(start, stop):
             digit = chars[:, position] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
             valid &= digit <= 9
             value = value * 10 + digit
-        numbers.append(value)
-    year, month, day, hour, minute, second = numbers
+        return value
+
+    year, month, day, hour, minute, second = (number(start, stop) for start, stop in _DATE_TIME_NUMBERS)
+    for position, separator in _DATE_TIME_SEPARATORS:
+        valid &= chars[:, position] == ord(separator)
+    valid &= (chars[:, 10] == ord("T")) | (chars[:, 10] == ord(" "))
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _MONTH_DAYS[np.clip(month - 1, 0, 11)] + (leap & (month == 2))
     valid &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
@@ -159,8 +194,21 @@ def _canonical_micros(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
     day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
     days = (era * 146_097 + day_of_era - 719_468).astype(np.int64)
-    seconds = days * 86_400 + hour * 3_600 + minute * 60 + second
-    return np.where(valid, seconds * 1_000_000, 0), valid
+    micros = (days * 86_400 + hour * 3_600 + minute * 60 + second) * 1_000_000
+    if fraction:
+        valid &= chars[:, 19] == ord(".")
+        micros += number(20, 26)
+    if zone == 1:
+        valid &= chars[:, -1] == ord("Z")
+    elif zone == 6:
+        sign = chars[:, -6]
+        valid &= ((sign == ord("+")) | (sign == ord("-"))) & (chars[:, -3] == ord(":"))
+        hours, minutes = number(width - 5, width - 3), number(width - 2, width)
+        valid &= (hours <= 23) & (minutes <= 59)
+        offset = (hours * 60 + minutes).astype(np.int64) * 60_000_000
+        micros -= np.where(sign == ord("-"), -offset, offset)
+        valid &= (micros >= _MIN_MICROS) & (micros <= _MAX_MICROS)
+    return np.where(valid, micros, 0), valid
 
 
 def _compact(ids: tuple[str, ...], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:

@@ -168,21 +168,24 @@ class IngestResult:
         return len(self.events)
 
 
-def _fields_from_mapping(obj: Mapping[str, Any], field_map: Mapping[str, str]) -> tuple[str, str, str, str] | None:
-    """Volunteer, task, project and raw timestamp of a JSON-ish record (mapped names win); None if anonymous."""
+def _field_keys(field_map: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
+    """The ``(mapped, canonical)`` name pairs of ``CANONICAL_FIELDS``, resolved once per load."""
+    return tuple((field_map[canonical], canonical) for canonical in CANONICAL_FIELDS)
 
-    def pick(canonical: str) -> Any:
-        value = obj.get(field_map[canonical])
-        if value is None:
-            value = obj.get(canonical)
-        return value
 
-    volunteer = pick("volunteer_id")
+def _fields_from_mapping(obj: Mapping[str, Any], keys: tuple[tuple[str, str], ...]) -> tuple[str, str, str, str] | None:
+    """Volunteer, task, project and raw timestamp of a JSON-ish record (mapped names win); None if anonymous.
+
+    ``keys`` comes from ``_field_keys``.
+    """
+    get = obj.get
+    values = []
+    for mapped, canonical in keys:
+        value = get(mapped)
+        values.append(get(canonical) if value is None else value)
+    volunteer, task, project, raw_timestamp = values
     if volunteer is None or str(volunteer).strip() == "":
         return None
-    task = pick("task_id")
-    project = pick("project_id")
-    raw_timestamp = pick("timestamp")
     if task is None or str(task).strip() == "":
         raise ValueError("missing task_id")
     if project is None or str(project).strip() == "":
@@ -224,11 +227,11 @@ def _load_records(pages: Iterable[tuple[str, Iterable[tuple[int, Any]]]], strict
     None for an anonymous record, or the error that makes it malformed. Ids
     are coded in arrival order. Raw timestamps, and in strict mode their
     locations, are held until a block ends, after ``_PARSE_CHUNK`` records
-    and at each page end; the block's canonical values are parsed in one
-    vectorised pass and the rest by ``parse_timestamp``. A malformed record
-    is tallied or, in strict mode, raised once the records before it are
-    parsed, so the first bad record is the one reported and a bad page fails
-    before the next one is fetched.
+    and at each page end; the block's fixed-width ISO-8601 values are parsed
+    in one vectorised pass and the rest by ``parse_timestamp``. A malformed
+    record is tallied or, in strict mode, raised once the records before it
+    are parsed, so the first bad record is the one reported and a bad page
+    fails before the next one is fetched.
     """
     # id -> code; a new id gets the next code, so codes follow arrival order
     volunteer_codes: dict[str, int] = defaultdict(count().__next__)
@@ -487,11 +490,7 @@ def _load_csv_bytes(handle, config: IngestConfig, source: str) -> IngestResult:
                 raise _Decline(f"an id over {_MAX_ID_BYTES} bytes")
 
         stamp_first, stamp_last = field("timestamp", named)
-        micros = np.zeros(len(named), dtype=np.int64)
-        parsed = stamp_last - stamp_first == 20
-        if parsed.any():
-            chars = sliding_window_view(buf, 20)[stamp_first[parsed]]
-            micros[parsed], parsed[parsed] = _canonical_micros(chars)
+        micros, parsed = _canonical_micros(buf, stamp_first, stamp_last - stamp_first)
 
         def stamp(index: int) -> str:
             return buf[stamp_first[index] : stamp_last[index]].tobytes().decode("ascii")
@@ -591,7 +590,7 @@ def _csv_fields(reader, columns: dict[str, int]) -> Iterator[tuple[int, Any]]:
 
 
 def _json_fields(
-    records: Iterable[tuple[int, Any]], field_map: Mapping[str, str], decode: Callable[[Any], Any] | None = None
+    records: Iterable[tuple[int, Any]], keys: tuple[tuple[str, str], ...], decode: Callable[[Any], Any] | None = None
 ) -> Iterator[tuple[int, Any]]:
     """``(position, fields)`` of each ``(position, record)`` (see ``_load_records``), after any ``decode``."""
     for position, record in records:
@@ -599,7 +598,7 @@ def _json_fields(
             obj = decode(record) if decode else record
             if not isinstance(obj, dict):
                 raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-            fields = _fields_from_mapping(obj, field_map)
+            fields = _fields_from_mapping(obj, keys)
         # JSONDecodeError is a ValueError; json.loads raises RecursionError on deep nesting
         except (ValueError, RecursionError) as exc:
             yield position, exc
@@ -612,7 +611,8 @@ def _load_jsonl(config: IngestConfig) -> IngestResult:
     # utf-8-sig: a byte-order mark is never data
     with path.open(encoding="utf-8-sig") as handle:
         lines = ((number, line) for number, line in enumerate(handle, start=1) if line.strip())
-        return _load_records([(str(path), _json_fields(lines, config.field_map, json.loads))], config.strict)
+        fields = _json_fields(lines, _field_keys(config.field_map), json.loads)
+        return _load_records([(str(path), fields)], config.strict)
 
 
 def _cache_path(cache_dir: Path, url: str) -> Path:
@@ -724,13 +724,14 @@ def _api_pages(config: IngestConfig, session: Any, sleep: Callable[[float], None
     """Yield ``(page url, fields of its records)`` page by page until a short page."""
     base = config.location.rstrip("/")
     cache_dir = Path(config.cache_dir) if config.cache_dir is not None else None
+    keys = _field_keys(config.field_map)
     offset = 0
     while True:
         url = f"{base}/api/taskrun?limit={config.page_size}&offset={offset}"
         page = _get_page(url, session, sleep, cache_dir)
         if not isinstance(page, list):
             raise SchemaError(f"{url}: expected a JSON array, got {type(page).__name__}")
-        yield url, _json_fields(enumerate(page), config.field_map)
+        yield url, _json_fields(enumerate(page), keys)
         if len(page) < config.page_size:
             return
         offset += config.page_size

@@ -48,9 +48,14 @@ volunteers = mostly(ids, st.just(""))  # an anonymous record
 stamps = mostly(
     st.builds("2014-01-{:02d}T{:02d}:00:00Z".format, st.integers(1, 9), st.integers(0, 23)),
     st.sampled_from([
-        "2014-01-02 03:04:05", "2014-01-01T10:00:00+05:30", "2014-01-03T00:00:00.5Z",
-        " 2014-01-05T00:00:00Z ", "0999-06-01T00:00:00Z", "2014-02-30T00:00:00Z",
-        "2014-01-01T24:00:00Z", "0001-01-01T00:00:00+01:00", "yesterday", "",
+        # each fixed width: 19, 20, 25, 26, 27 and 32 characters
+        "2014-01-02 03:04:05", "2014-01-02T03:04:05", "2014-01-02 03:04:05Z", "2014-01-01T10:00:00+05:30",
+        "2014-01-04 05:06:07.000008", "2014-01-04T05:06:07.123456Z", "2014-01-06T23:59:59.999999-00:30",
+        # near misses that parse_timestamp reads, or rejects, on its own
+        "2014-01-03T00:00:00.5Z", " 2014-01-05T00:00:00Z ", "0999-06-01T00:00:00Z", "2014-02-30T00:00:00Z",
+        "2014-01-01T24:00:00Z", "0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00.000000-01:00",
+        "2014-01-01T10:00:00+24:00", "2014-01-01T10:00:00+01:60", "2014-01-07T08:00:00.000000z",
+        "yesterday", "",
     ]),
 )
 #: Cells of the unused columns: quoted ones that ``csv.reader`` unquotes, and near misses it reads otherwise.
@@ -174,6 +179,21 @@ def test_quoted_cells_never_cut_inside_quotes(tmp_path):
             else:
                 with pytest.raises(_Decline, match="^a record over 64 bytes$"):
                     byte_path(config)
+
+
+def test_written_microseconds_load_back_in_bulk(tmp_path):
+    """``write_events_csv``'s ``.ffffffZ`` instants are read by the kernel, never one at a time."""
+    path = tmp_path / "events.csv"
+    events = [ev("u1", "t1", "p1", "2014-01-01T10:00:00.000001"), ev("u2", "t2", "p1", "1969-12-31T23:59:59.999999")]
+    write_events_csv(events, path)
+    assert b".999999Z\r\n" in path.read_bytes()
+
+    def no_value_left(micros, parsed, raw):
+        assert parsed.all(), "a value reached _parse_rest"
+        return iter(())
+
+    with mock.patch.object(ingest, "_parse_rest", no_value_left):
+        assert byte_path(IngestConfig(kind="csv-file", location=str(path), strict=True)).events == events
 
 
 class TestWhichPathRan:

@@ -10,11 +10,13 @@ from hypothesis import example, given, strategies as st
 from crowdmetrics.cli import build_parser
 from crowdmetrics.events import (
     InvalidTimestampError,
+    _ISO_WIDTHS,
     build_snapshot,
     derive_profiles,
     from_micros,
     parse_canonical_timestamps,
     parse_timestamp,
+    to_micros,
 )
 from crowdmetrics.ingest import (
     DEFAULT_FIELD_MAP,
@@ -256,9 +258,7 @@ class TestCanonicalTimestamps:
             "2014-07-17T10:00:00Z ",
             " 2014-07-17T10:00:00Z",
             "2014-07-17T10:00:00z",
-            "2014-07-17 10:00:00Z",
             "2014-07-17T10:00:00.5Z",
-            "2014-07-17T12:00:00+02:00",
             "\uff12014-07-17T10:00:00Z",  # a fullwidth digit
             "2014-07-17T10:00:0\x00Z",
             "",
@@ -267,6 +267,58 @@ class TestCanonicalTimestamps:
     def test_other_forms_are_left_to_parse_timestamp(self, raw):
         _, parsed = parse_canonical_timestamps(["2014-07-17T10:00:00Z", raw])
         assert parsed.tolist() == [True, False]
+
+    @pytest.mark.parametrize("raw", ["2014-07-17T12:00:00+02:00", "2014-07-17 10:00:00Z"])
+    def test_offset_and_space_forms_take_the_fast_path(self, raw):
+        micros, parsed = parse_canonical_timestamps(["2014-07-17T10:00:00Z", raw])
+        assert parsed.tolist() == [True, True]
+        assert from_micros(int(micros[1])) == parse_timestamp(raw) == ts("2014-07-17T10:00:00")
+
+    @pytest.mark.parametrize("width", _ISO_WIDTHS)
+    @given(
+        st.tuples(
+            st.builds(
+                "{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}".format,
+                st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32), st.sampled_from("T t"),
+                st.integers(0, 24), st.integers(0, 60), st.integers(0, 60),
+            ),
+            st.builds("{}{:06d}".format, st.sampled_from(".,"), st.integers(0, 999_999)),
+            st.sampled_from("Zz"),
+            st.builds("{}{:02d}:{:02d}".format, st.sampled_from("+-"), st.integers(0, 25), st.integers(0, 61)),
+        )
+    )
+    @example(("2016-02-29T12:00:00", ".999999", "Z", "+23:59"))  # a leap day
+    @example(("1900-02-29T00:00:00", ".000000", "Z", "-00:00"))  # not a leap day
+    @example(("2000-02-29T23:59:59", ".000001", "Z", "-23:59"))
+    @example(("0001-01-01T00:30:00", ".000000", "Z", "+01:00"))  # the offset moves it before year 1
+    @example(("9999-12-31T23:30:00", ".999999", "Z", "-01:00"))  # ... or past year 9999
+    @example(("2014-07-17T10:00:00", ".000000", "Z", "+24:00"))
+    @example(("2014-07-17T10:00:00", ",500000", "Z", "+01:60"))  # Python reads +01:60 as +02:00; a decimal comma
+    @example(("2014-07-17 10:00:00", ".123456", "z", "-00:00"))  # a space separator, a lowercase z
+    def test_each_width_agrees_with_parse_timestamp(self, width, parts):
+        """The kernel reads a value only as ``parse_timestamp`` does, and reads every in-scope value."""
+        date_time, fraction, letter, offset = parts
+        raw = {
+            19: date_time,
+            20: date_time + letter,
+            25: date_time + offset,
+            26: date_time + fraction,
+            27: date_time + fraction + letter,
+            32: date_time + fraction + offset,
+        }[width]
+        assert len(raw) == width
+        micros, parsed = parse_canonical_timestamps([raw])
+        try:
+            expected = to_micros(parse_timestamp(raw))
+        except InvalidTimestampError:
+            assert not parsed[0]
+            return
+        in_scope = date_time[10] in "T " and not raw.endswith("z") and (width < 26 or fraction[0] == ".")
+        if width in (25, 32):
+            in_scope &= int(offset[1:3]) <= 23 and int(offset[4:]) <= 59
+        assert parsed[0] == in_scope
+        if parsed[0]:
+            assert micros[0] == expected
 
 
 class TestCsvColumnarEdges:
@@ -282,6 +334,16 @@ class TestCsvColumnarEdges:
             "1969-12-31T23:59:59.999999",
             "0001-01-01T00:00:00Z",
             " 2014-07-17T10:00:00Z ",
+            "2014-07-17T10:00:00",
+            "2014-07-17 10:00:00Z",
+            "2014-07-17 04:29:59-05:30",
+            "2014-07-17 10:00:00.250000",
+            "2014-07-17T10:00:00.999999+23:59",
+            "2014-07-17 10:00:00.000000-00:00",
+            "0001-01-01T23:00:00.000000+23:00",
+            "9999-12-31T00:59:59.999999-23:00",
+            "2014-07-17T10:00:00+01:60",
+            "2014-07-17T10:00:00.123456z",
         ]
         path = tmp_path / "mixed.csv"
         write_lines(
