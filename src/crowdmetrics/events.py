@@ -138,19 +138,19 @@ def _canonical_micros(buf: np.ndarray, starts: np.ndarray, widths: np.ndarray) -
 
     The kernel of ``parse_canonical_timestamps``, for callers that hold the
     bytes already. The values of each width in ``_ISO_WIDTHS`` are gathered
-    into one matrix and read by ``_fixed_width_micros``; a value of any
-    other width is invalid, and an invalid value reads 0.
+    into one matrix and read by ``_fixed_width_micros``, all at once when
+    every value has the same width; a value of any other width is invalid,
+    and an invalid value reads 0.
     """
+    if len(widths) and widths[0] in _ISO_WIDTHS and (widths == widths[0]).all():
+        # one form throughout, as in a file this package writes: no rows to pick out
+        return _fixed_width_micros(sliding_window_view(buf, int(widths[0]))[starts])
     micros = np.zeros(len(starts), dtype=np.int64)
     valid = np.zeros(len(starts), dtype=bool)
     for width in _ISO_WIDTHS:
         rows = np.flatnonzero(widths == width)
-        if not len(rows):
-            continue
-        chars = sliding_window_view(buf, width)
-        if len(rows) == len(starts):  # one form throughout, as in a file this package writes
-            return _fixed_width_micros(chars[starts])
-        micros[rows], valid[rows] = _fixed_width_micros(chars[starts[rows]])
+        if len(rows):
+            micros[rows], valid[rows] = _fixed_width_micros(sliding_window_view(buf, width)[starts[rows]])
     return micros, valid
 
 
