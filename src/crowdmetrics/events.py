@@ -90,12 +90,8 @@ def parse_timestamp(raw: str) -> datetime:
         parsed = datetime.fromisoformat(text)
     except (ValueError, TypeError) as exc:
         raise InvalidTimestampError(f"unparseable timestamp: {raw!r}") from exc
-    tz = parsed.tzinfo
-    if tz is None:
+    if parsed.tzinfo is None:
         return parsed.replace(tzinfo=timezone.utc)
-    if tz is timezone.utc:
-        # already the UTC singleton, astimezone would be an expensive no-op
-        return parsed
     try:
         return parsed.astimezone(timezone.utc)
     except OverflowError as exc:  # the offset moves it past year 1 or 9999

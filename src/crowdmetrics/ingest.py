@@ -183,22 +183,22 @@ def _fields_from_mapping(obj: Mapping[str, Any], keys: tuple[tuple[str, str], ..
     for mapped, canonical in keys:
         value = get(mapped)
         values.append(get(canonical) if value is None else value)
-    volunteer, task, project, raw_timestamp = values
-    if volunteer is None or str(volunteer).strip() == "":
+    raw_timestamp = values.pop()
+    volunteer, task, project = ids = ["" if value is None else str(value).strip() for value in values]
+    if not volunteer:
         return None
-    if task is None or str(task).strip() == "":
+    if not task:
         raise ValueError("missing task_id")
-    if project is None or str(project).strip() == "":
+    if not project:
         raise ValueError("missing project_id")
     if not isinstance(raw_timestamp, str):
         raise ValueError(f"missing or non-string timestamp: {raw_timestamp!r}")
-    ids = str(volunteer).strip(), str(task).strip(), str(project).strip()
     limit = csv.field_size_limit()
     for value in ids:  # each id must be a field that ``ingest`` can write and load back
         value.encode("utf-8")  # a \uXXXX escape can decode to a lone surrogate: UnicodeEncodeError
         if len(value) > limit:
             raise ValueError(f"field larger than field limit ({limit})")
-    return (*ids, raw_timestamp)
+    return volunteer, task, project, raw_timestamp
 
 
 def _parse_rest(
@@ -640,15 +640,15 @@ def _replacing(*paths: Path) -> Iterator[list[Path]]:
         raise
 
 
-def _write_cache(path: Path, payload: Any) -> None:
-    """Write a page through ``_replacing``, so a reader never sees part of it.
+def _write_cache(path: Path, body: bytes) -> None:
+    """Write a page's response bytes, as served, through ``_replacing``, so a reader never sees part of them.
 
     Not fsynced: a page that a power loss leaves empty or cut short no
     longer decodes, and ``_get_page`` then fetches it again.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with _replacing(path) as (temp,):
-        temp.write_text(json.dumps(payload), encoding="utf-8")
+        temp.write_bytes(body)
 
 
 def _get_page(
@@ -656,19 +656,20 @@ def _get_page(
     session: Any,
     sleep: Callable[[float], None],
     cache_dir: Path | None,
-) -> Any:
+) -> list:
     if cache_dir is not None:
         cached = _cache_path(cache_dir, url)
         try:
-            return json.loads(cached.read_text(encoding="utf-8"))
+            page = json.loads(cached.read_bytes())
+            if isinstance(page, list):
+                return page
+            raise SchemaError(f"expected a JSON array, got {type(page).__name__}")
         except FileNotFoundError:
             pass
-        except (ValueError, RecursionError) as exc:  # undecodable, or nested too deep
+        except (ValueError, RecursionError) as exc:  # undecodable, nested too deep, or not an array
             logger.warning(
                 "ignoring unreadable cache file %s for %s (%s); fetching again", cached, url, exc
             )
-    import requests  # here, not at module level: file sources never pay its import time
-
     last_error: Exception | None = None
     for attempt in range(MAX_API_ATTEMPTS):
         if attempt:
@@ -683,13 +684,15 @@ def _get_page(
                 continue
             if status >= 400:
                 raise NetworkError(f"client error {status} from {url}")
-            payload = response.json()
-        except (requests.RequestException, RecursionError) as exc:  # or a page nested too deep
+            page = json.loads(response.content)
+        except (OSError, ValueError, RecursionError) as exc:  # requests' errors are OSErrors
             last_error = exc
             continue
+        if not isinstance(page, list):
+            raise SchemaError(f"{url}: expected a JSON array, got {type(page).__name__}")
         if cache_dir is not None:
-            _write_cache(_cache_path(cache_dir, url), payload)
-        return payload
+            _write_cache(_cache_path(cache_dir, url), response.content)
+        return page
     raise NetworkError(f"giving up on {url} after {MAX_API_ATTEMPTS} attempts") from last_error
 
 
@@ -703,8 +706,10 @@ def fetch_api(
     Pages ``GET <base>/api/taskrun?limit=L&offset=O`` until a short page.
     Transient failures are retried with exponential backoff, at most
     MAX_API_ATTEMPTS attempts per page. With a ``cache_dir`` configured every
-    page response is written to disk and reused on later runs, so an analysis
-    stays reproducible after the platform goes away.
+    page's response bytes are written to disk as served and reused on later
+    runs, so an analysis stays reproducible after the platform goes away.
+    ``session.get(url, timeout=...)`` must return an object with ``.status_code``
+    and ``.content`` (the body's bytes); the default is a ``requests.Session``.
 
     Raises:
         NetworkError: a page kept failing.
@@ -729,8 +734,6 @@ def _api_pages(config: IngestConfig, session: Any, sleep: Callable[[float], None
     while True:
         url = f"{base}/api/taskrun?limit={config.page_size}&offset={offset}"
         page = _get_page(url, session, sleep, cache_dir)
-        if not isinstance(page, list):
-            raise SchemaError(f"{url}: expected a JSON array, got {type(page).__name__}")
         yield url, _json_fields(enumerate(page), keys)
         if len(page) < config.page_size:
             return

@@ -42,12 +42,11 @@ def record(i):
 
 
 class StubResponse:
-    def __init__(self, payload, status=200):
-        self._payload = payload
-        self.status_code = status
+    """A response whose body is ``payload`` as bytes, or encoded as JSON."""
 
-    def json(self):
-        return self._payload
+    def __init__(self, payload, status=200):
+        self.content = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        self.status_code = status
 
 
 class StubSession:
@@ -415,16 +414,51 @@ class TestCache:
             assert list(tmp_path.iterdir()) == [cached]  # no temp file left behind
 
     def test_deeply_nested_response_is_a_failed_attempt(self, tmp_path):
-        class TooDeepResponse(StubResponse):
-            def json(self):
-                raise RecursionError("maximum recursion depth exceeded while decoding a JSON array")
-
-        session = StubSession({page_url(0): [TooDeepResponse(None)]})
+        session = StubSession({page_url(0): [StubResponse(b"[" * 100_000)]})
         sleeps = []
         with pytest.raises(NetworkError, match="giving up"):
             fetch_api(config(cache_dir=str(tmp_path)), session=session, sleep=sleeps.append)
         assert len(session.calls) == MAX_API_ATTEMPTS
         assert len(sleeps) == MAX_API_ATTEMPTS - 1
+        assert not any(tmp_path.iterdir())
+
+    def test_cache_holds_the_bytes_as_served(self, tmp_path):
+        body = '[{"user_id":"zoé","task_id":"t1","project_id":"p1","finish_time":"2014-01-01T06:00:00Z"}]'.encode()
+        cfg = config(cache_dir=str(tmp_path))
+        first = fetch_api(cfg, session=StubSession({page_url(0): [StubResponse(body)]}), sleep=lambda s: None)
+        (cached,) = tmp_path.iterdir()
+        assert cached.read_bytes() == body
+        second = fetch_api(cfg, session=StubSession({}), sleep=lambda s: None)  # any get raises KeyError
+        assert second.events == first.events
+        assert [event.volunteer_id for event in second.events] == ["zoé"]
+
+    def test_non_array_page_is_not_cached(self, tmp_path):
+        session = StubSession({page_url(0): [StubResponse({"error": "teapot"})]})
+        with pytest.raises(SchemaError, match="expected a JSON array, got dict"):
+            fetch_api(config(cache_dir=str(tmp_path)), session=session, sleep=lambda s: None)
+        assert session.calls == [page_url(0)]
+        assert not any(tmp_path.iterdir())
+
+    def test_cached_non_array_is_fetched_again(self, tmp_path, caplog):
+        cached = ingest._cache_path(tmp_path, page_url(0))
+        cached.write_text(json.dumps({"error": "teapot"}), encoding="utf-8")  # as earlier versions cached it
+        records = [record(i) for i in range(30)]
+        session = StubSession({page_url(0): [StubResponse(records)]})
+        with caplog.at_level("WARNING", logger="crowdmetrics.ingest"):
+            result = fetch_api(config(cache_dir=str(tmp_path)), session=session, sleep=lambda s: None)
+        assert result.loaded == 30
+        assert session.calls == [page_url(0)]
+        assert any("unreadable cache file" in message for message in caplog.messages)
+        assert json.loads(cached.read_bytes()) == records
+        assert list(tmp_path.iterdir()) == [cached]
+
+    def test_non_utf8_body_is_a_failed_attempt(self, tmp_path):
+        body = json.dumps([{**record(1), "user_id": "zoé"}], ensure_ascii=False).encode("latin-1")
+        session = StubSession({page_url(0): [StubResponse(body)]})
+        with pytest.raises(NetworkError, match="giving up") as err:
+            fetch_api(config(cache_dir=str(tmp_path)), session=session, sleep=lambda s: None)
+        assert isinstance(err.value.__cause__, UnicodeDecodeError)
+        assert len(session.calls) == MAX_API_ATTEMPTS
         assert not any(tmp_path.iterdir())
 
     def test_cache_not_written_on_failure(self, tmp_path):
