@@ -594,7 +594,10 @@ def build_snapshot(
         EmptyDatasetError: the input holds no events, or none survive exclusion filtering.
         EventAfterObservationEndError: an event postdates ``observation_end``.
         ValueError: an event carries an empty id.
+        TypeError: ``exclusions`` is a str, not a collection of project ids.
     """
+    if isinstance(exclusions, str):
+        raise TypeError("exclusions must be a collection of project ids, not a str")
     excluded = frozenset(exclusions)
     table = events if isinstance(events, EventTable) else EventTable.from_events(events)
     if not len(table):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -29,7 +29,6 @@ from .stats import (
     BootstrapCI,
     ClassDistribution,
     Ecdf,
-    UndefinedGiniError,
     bootstrap_mean_ci,
     class_distribution,
     contribution_inequality,
@@ -88,8 +87,8 @@ class MetricsReport:
     volunteers: VolunteerRows
     projects: tuple[ProjectBalances, ...]
     distribution: ClassDistribution
-    gini_recruitment: float | None
-    gini_computing: float | None
+    gini_recruitment: float
+    gini_computing: float
     ecdf_recruitment: Ecdf | None
     ecdf_computing: Ecdf | None
     activity_groups: tuple[ActivityGroup, ...]
@@ -102,19 +101,16 @@ def config_fingerprint(snapshot: PlatformSnapshot, options: ReportOptions) -> st
     Deliberately excludes the event source (path, format, URL): the same
     records must fingerprint the same however they arrived.
     """
-    payload = {
-        "availability": options.availability,
-        "bootstrap_resamples": options.bootstrap_resamples,
-        "confidence_level": options.confidence_level,
+    payload = asdict(options) | {
         "excluded_projects": sorted(snapshot.excluded_projects),
         "observation_end": format_timestamp(snapshot.observation_end),
-        "seed": options.seed,
     }
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
 def _maybe_ecdf(values: Iterable[BalanceValue]) -> Ecdf | None:
+    """``ecdf`` of balances, or None when none is finite (no balance is a NaN or infinite float)."""
     try:
         return ecdf(values)
     except ValueError:
@@ -136,50 +132,32 @@ def build_report(
     metrics = compute_volunteer_metrics(
         volunteers, projects, snapshot.observation_end, options.availability
     )
-    balances = compute_project_balances(projects)
-
-    try:
-        gini_recruitment = recruitment_inequality(projects)
-    except UndefinedGiniError:
-        gini_recruitment = None
-    try:
-        gini_computing = contribution_inequality(projects)
-    except UndefinedGiniError:
-        gini_computing = None
-
-    ordered_balances = tuple(balances.values())
+    ordered_balances = tuple(compute_project_balances(projects).values())
     distribution = class_distribution(metrics.classes())
 
     # the regulars' durations in volunteer id order, split by projects explored
     regulars = metrics.platform_regulars()
     single = metrics.explored == 1
-    group_samples = dict(
-        zip(ACTIVITY_GROUPS, (metrics.duration[regulars & single], metrics.duration[regulars & ~single]))
-    )
-    # The groups' bootstraps draw from separate streams, and numpy releases
-    # the GIL while drawing and gathering, so they run side by side.
-    from concurrent.futures import ThreadPoolExecutor
+    samples = (metrics.duration[regulars & single], metrics.duration[regulars & ~single])
 
-    with ThreadPoolExecutor(max_workers=len(ACTIVITY_GROUPS)) as pool:
-        futures = {
-            name: pool.submit(
-                bootstrap_mean_ci,
+    def activity_group(index: int) -> ActivityGroup:
+        sample = samples[index]
+        ci = None
+        if len(sample):
+            ci = bootstrap_mean_ci(
                 sample,
                 level=options.confidence_level,
                 resamples=options.bootstrap_resamples,
                 seed=options.seed + index,
             )
-            for index, (name, sample) in enumerate(group_samples.items())
-            if len(sample)
-        }
-    groups = [
-        ActivityGroup(
-            name=name,
-            volunteer_count=len(sample),
-            ci=futures[name].result() if name in futures else None,
-        )
-        for name, sample in group_samples.items()
-    ]
+        return ActivityGroup(name=ACTIVITY_GROUPS[index], volunteer_count=len(sample), ci=ci)
+
+    # The groups' bootstraps draw from separate streams, and numpy releases
+    # the GIL while drawing and gathering, so they run side by side.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=len(ACTIVITY_GROUPS)) as pool:
+        groups = tuple(pool.map(activity_group, range(len(ACTIVITY_GROUPS))))
 
     return MetricsReport(
         observation_end=snapshot.observation_end,
@@ -191,11 +169,13 @@ def build_report(
         volunteers=metrics.values(),
         projects=ordered_balances,
         distribution=distribution,
-        gini_recruitment=gini_recruitment,
-        gini_computing=gini_computing,
+        # defined: a snapshot's projects each have a task and its volunteers a first
+        # project (a hand-built empty snapshot has failed in class_distribution)
+        gini_recruitment=recruitment_inequality(projects),
+        gini_computing=contribution_inequality(projects),
         ecdf_recruitment=_maybe_ecdf(b.recruitment for b in ordered_balances),
         ecdf_computing=_maybe_ecdf(b.computing for b in ordered_balances),
-        activity_groups=tuple(groups),
+        activity_groups=groups,
         source_stats=dict(source_stats) if source_stats else None,
     )
 
@@ -235,6 +215,14 @@ def report_to_dict(report: MetricsReport) -> dict:
     return doc
 
 
+def _class_dimensions(dist: ClassDistribution) -> dict:
+    """Class dimension -> (its classes in enum order, their counts, their exact percentages)."""
+    return {
+        "platform": (PlatformClass, dist.platform_counts, dist.platform_percentages()),
+        "project": (ProjectClass, dist.project_counts, dist.project_percentages()),
+    }
+
+
 def _document(report: MetricsReport) -> dict:
     """``report_to_dict``'s document with ``report.volunteers`` in place of the volunteer list.
 
@@ -243,23 +231,9 @@ def _document(report: MetricsReport) -> dict:
     its table's columns.
     """
     dist = report.distribution
-    platform_pct = dist.platform_percentages()
-    project_pct = dist.project_percentages()
     classes = {
-        "platform": {
-            cls.value: {
-                "count": dist.platform_counts[cls],
-                "percent": _percent(platform_pct[cls]),
-            }
-            for cls in PlatformClass
-        },
-        "project": {
-            cls.value: {
-                "count": dist.project_counts[cls],
-                "percent": _percent(project_pct[cls]),
-            }
-            for cls in ProjectClass
-        },
+        dimension: {cls.value: {"count": counts[cls], "percent": _percent(pct[cls])} for cls in members}
+        for dimension, (members, counts, pct) in _class_dimensions(dist).items()
     }
     activity = [
         {
@@ -502,30 +476,18 @@ def render_summary(report: MetricsReport) -> str:
     percents could round the other way at .5.
     """
     dist = report.distribution
-    platform_pct = dist.platform_percentages()
-    project_pct = dist.project_percentages()
-    gini_r = "undefined" if report.gini_recruitment is None else f"{report.gini_recruitment:.2f}"
-    gini_c = "undefined" if report.gini_computing is None else f"{report.gini_computing:.2f}"
     lines = [
         f"events analyzed     {report.event_count}"
         + (f" ({report.duplicates_removed} duplicates removed)" if report.duplicates_removed else ""),
         f"volunteers          {dist.total}",
         f"projects            {len(report.projects)}",
-        f"gini recruitment    {gini_r}",
-        f"gini computing      {gini_c}",
+        f"gini recruitment    {report.gini_recruitment:.2f}",
+        f"gini computing      {report.gini_computing:.2f}",
         "classes",
     ]
     # integer percent style in the human view; exact values live in the tables
-    for cls in PlatformClass:
-        lines.append(
-            f"  {cls.value:<26} {dist.platform_counts[cls]:>8}"
-            f"  {float(platform_pct[cls]):4.0f}%"
-        )
-    for cls in ProjectClass:
-        lines.append(
-            f"  {cls.value:<26} {dist.project_counts[cls]:>8}"
-            f"  {float(project_pct[cls]):4.0f}%"
-        )
+    for members, counts, pct in _class_dimensions(dist).values():
+        lines.extend(f"  {cls.value:<26} {counts[cls]:>8}  {float(pct[cls]):4.0f}%" for cls in members)
     lines.append("relative activity duration (mean, CI)")
     for group in report.activity_groups:
         if group.ci is None:

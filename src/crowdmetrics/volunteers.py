@@ -240,8 +240,13 @@ class VolunteerRows(Sequence[VolunteerMetrics]):
     def __len__(self) -> int:
         return len(self.table)
 
-    def __getitem__(self, index: int) -> VolunteerMetrics:
-        row = range(len(self))[index]
+    def __getitem__(self, index: int | slice) -> VolunteerMetrics | list[VolunteerMetrics]:
+        if isinstance(index, slice):
+            return list(self._build(index))
+        try:
+            row = range(len(self))[index]
+        except IndexError:
+            raise IndexError(f"volunteer row index {index} out of range for {len(self)} rows") from None
         return next(self._build(slice(row, row + 1)))
 
     def __iter__(self) -> Iterator[VolunteerMetrics]:

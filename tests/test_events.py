@@ -98,6 +98,13 @@ class TestBuildSnapshot:
         assert len(snap.events) == 1
         assert snap.excluded_projects == frozenset({"demo"})
 
+    def test_exclusions_given_as_a_str_rejected(self):
+        # a str would be read as its characters: "p1" would exclude "p" and "1"
+        events = [ev("a", "t1", "p1", "2014-01-01T00:00"), ev("a", "t2", "p", "2014-01-02T00:00")]
+        with pytest.raises(TypeError, match="not a str"):
+            build_snapshot(events, exclusions="p1")
+        assert build_snapshot(events, exclusions=["p1"]).excluded_projects == frozenset({"p1"})
+
     def test_everything_excluded_raises(self):
         events = [ev("a", "t1", "p1", "2014-01-01T00:00")]
         with pytest.raises(EmptyDatasetError):
@@ -222,6 +229,17 @@ class TestSnapshotProperties:
         with pytest.raises(ValueError):
             snap.events.volunteer[0] = 1
 
+    def test_event_table_slices_and_repr(self):
+        events = [ev(f"v{i % 3}", f"t{i}", f"p{i % 2}", f"2014-01-0{i + 1}T00:00") for i in range(5)]
+        snap = build_snapshot(events)
+        rows = list(snap.events)
+        assert rows == events
+        for part in (slice(1, 3), slice(None, None, 2), slice(-2, None), slice(None, None, -1), slice(4, 1, -2)):
+            assert snap.events[part] == rows[part]
+        assert snap.events[-1] == rows[-1]
+        assert repr(snap.events) == "EventTable(5 events, 3 volunteers, 2 projects)"
+        assert snap.event_count == 5
+
     def test_unhashable_by_design(self):
         events = [ev("a", "t1", "p1", "2014-01-01T00:00")]
         snap = build_snapshot(events)
@@ -333,6 +351,12 @@ class TestDeriveProfiles:
             recruited_total += len(project.recruited)
         # every volunteer is recruited by exactly one project
         assert recruited_total == len(volunteers)
+
+    def test_days_of_an_unknown_volunteer_is_a_key_error(self):
+        volunteers, _ = derive_profiles(build_snapshot([ev("a", "t1", "p1", "2014-01-01T00:00")]))
+        assert volunteers.days("a") == {ts("2014-01-01T00:00").date()}
+        with pytest.raises(KeyError, match="nobody"):
+            volunteers.days("nobody")
 
     def test_pure_function_of_snapshot(self):
         events = [ev_at(f"v{i % 3}", f"t{i}", f"p{i % 2}", i * 3600) for i in range(20)]

@@ -532,6 +532,11 @@ class TestConfigAndDispatch:
         result = load_events(IngestConfig(kind="csv-file", location=str(path)))
         assert result.events == sample_events
 
+    def test_load_file_refuses_an_api_config(self):
+        # the API is read by load_events; load_file raises before any request
+        with pytest.raises(ValueError, match="load_file cannot handle source kind 'api'"):
+            load_file(IngestConfig(kind="api", location="http://127.0.0.1:9"))
+
     def test_default_field_map_is_platform_schema(self):
         assert DEFAULT_FIELD_MAP["volunteer_id"] == "user_id"
         assert DEFAULT_FIELD_MAP["timestamp"] == "finish_time"

@@ -1,6 +1,7 @@
 """Project balance metrics: signed balances and their unbounded edges."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -124,6 +125,14 @@ class TestProjectBalances:
         assert balance_in_computing(project) == Unbounded(-1)
         project, counts = project_with(inherited=["a"], recruited=[])
         assert balance_in_computing(project) == Unbounded(1)
+
+    @pytest.mark.parametrize("balance", [balance_in_recruitment, balance_in_computing])
+    def test_project_without_volunteers_rejected(self, balance):
+        # no snapshot yields such a project; a hand-built profile can
+        project, _ = project_with(inherited=["a"], recruited=["b"])
+        empty = replace(project, recruited_count=0, inherited_count=0, recruited_task_count=0)
+        with pytest.raises(ValueError, match="'target' has no volunteers"):
+            balance(empty)
 
     @given(event_lists())
     def test_full_computation_consistency(self, events):

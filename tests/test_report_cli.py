@@ -2,10 +2,12 @@
 
 import csv
 import gc
+import hashlib
 import io
 import json
 import threading
 import weakref
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from types import ModuleType
 
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from crowdmetrics import report as report_module
 from crowdmetrics.cli import main
-from crowdmetrics.events import VolunteerProfiles, build_snapshot
+from crowdmetrics.events import EventTable, PlatformSnapshot, VolunteerProfiles, build_snapshot
 from crowdmetrics.ingest import IngestConfig, format_timestamp, load_events, write_events_csv
 from crowdmetrics.report import (
     ACTIVITY_GROUPS,
@@ -67,6 +69,22 @@ class TestFingerprint:
         base = config_fingerprint(synth_snapshot, fast)
         trimmed = build_snapshot(synth_snapshot.events, exclusions=["p0000"])
         assert config_fingerprint(trimmed, fast) != base
+
+    def test_digest_of_every_option_and_the_snapshot_fields(self, synth_snapshot):
+        trimmed = build_snapshot(synth_snapshot.events, exclusions=["p0003", "zz"])
+        options = ReportOptions(availability="all", bootstrap_resamples=5, confidence_level=0.9, seed=4)
+        payload = {
+            "availability": "all",
+            "bootstrap_resamples": 5,
+            "confidence_level": 0.9,
+            "excluded_projects": ["p0003", "zz"],
+            "observation_end": format_timestamp(trimmed.observation_end),
+            "seed": 4,
+        }
+        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert config_fingerprint(trimmed, options) == hashlib.sha256(canon.encode()).hexdigest()[:16]
+        assert config_fingerprint(trimmed, options) == "8f090e27df0d6309"
+        assert config_fingerprint(synth_snapshot, fast) == "bdafcb281ea287b5"
 
     def test_observation_end_is_the_same_instant_at_any_offset(self, synth_snapshot):
         utc = datetime(2015, 1, 1, 10, tzinfo=timezone.utc)
@@ -123,9 +141,53 @@ class TestBuildReport:
             build_report(synth_snapshot, fast)
         assert threading.active_count() == threads_before
 
+    def test_group_bootstraps_run_side_by_side(self, synth_snapshot, monkeypatch):
+        # each group's bootstrap waits for the other's: run one after the
+        # other, the first would time out on the barrier
+        both_running = threading.Barrier(len(ACTIVITY_GROUPS), timeout=10)
+
+        def meet_then_bootstrap(sample, **kwargs):
+            both_running.wait()
+            return bootstrap_mean_ci(sample, **kwargs)
+
+        expected = build_report(synth_snapshot, fast)
+        monkeypatch.setattr("crowdmetrics.report.bootstrap_mean_ci", meet_then_bootstrap)
+        assert build_report(synth_snapshot, fast).activity_groups == expected.activity_groups
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             ReportOptions(seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("availability", "some", "availability must be one of"),
+            ("bootstrap_resamples", 0, "bootstrap_resamples must be >= 1"),
+            ("confidence_level", 0.0, r"confidence_level must be in \(0, 1\)"),
+            ("confidence_level", 1.0, r"confidence_level must be in \(0, 1\)"),
+        ],
+    )
+    def test_bad_options_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ReportOptions(**{field: value})
+
+    def test_reports_of_one_snapshot_are_equal_and_row_order_counts(self, synth_snapshot):
+        report = build_report(synth_snapshot, fast)
+        assert report == build_report(synth_snapshot, fast)
+        rows = list(report.volunteers)
+        assert report == replace(report, volunteers=rows)
+        assert report != replace(report, volunteers=rows[::-1])
+        assert report != replace(report, volunteers=rows[:-1])
+
+    def test_ginis_are_numbers_for_a_single_event(self):
+        report = build_report(build_snapshot([ev("v", "t1", "p1", "2014-01-01T10:00")]), fast)
+        assert report.gini_recruitment == report.gini_computing == 0.0
+        assert "gini recruitment    0.00\ngini computing      0.00\n" in render_summary(report)
+
+    def test_hand_built_empty_snapshot_fails_in_the_class_distribution(self):
+        empty = PlatformSnapshot(EventTable.from_events([]), datetime(2014, 1, 1, tzinfo=timezone.utc))
+        with pytest.raises(ValueError, match="^class distribution requires at least one volunteer$"):
+            build_report(empty, fast)
 
     def test_empty_group_has_no_interval(self):
         # single volunteer, single day: no platform regulars at all
@@ -546,6 +608,14 @@ class TestCli:
         assert "disk full" in capsys.readouterr().err
         assert {name: (out / name).read_bytes() for name in before} == before
         assert sorted(path.name for path in out.iterdir()) == ["events.csv", "labels.csv"]
+
+    def test_impossible_synth_start_date_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "synthdata"
+        with pytest.raises(SystemExit) as err:
+            run_cli("synth", "--start", "2014-13-01", "--out", str(out))
+        assert err.value.code == 1
+        assert "argument --start: month must be in 1..12" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_synth_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "synthdata"

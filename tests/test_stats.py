@@ -11,6 +11,7 @@ from crowdmetrics.projects import Unbounded
 from crowdmetrics.stats import (
     _MIN_VALUES_PER_DISTINCT,
     BootstrapCI,
+    Ecdf,
     UndefinedGiniError,
     bootstrap_mean_ci,
     class_distribution,
@@ -81,6 +82,12 @@ class TestGini:
         with pytest.raises(ValueError):
             gini([1, -2, 3])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, bad):
+        for values in ([1.0, bad], [bad], [0.0, bad, 0.0]):
+            with pytest.raises(ValueError, match="finite"):
+                gini(values)
+
     def test_order_independent(self):
         shuffled = [5.0, 1.0, 9.0, 1.0, 3.0]
         assert gini(shuffled) == gini(sorted(shuffled))
@@ -130,6 +137,19 @@ class TestEcdf:
         with pytest.raises(ValueError):
             ecdf([])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_rejected(self, bad):
+        # a float inf is not the tagged Unbounded
+        for values in ([1.0, bad, 0.5], [bad], [Unbounded(1), bad]):
+            with pytest.raises(ValueError, match="finite or Unbounded"):
+                ecdf(values)
+
+    def test_fraction_at_without_points_raises(self):
+        curve = Ecdf(values=(), fractions=(), finite_count=0, unbounded_positive=2)
+        assert curve.points() == ()
+        with pytest.raises(ValueError, match="no finite points"):
+            curve.fraction_at(0.0)
+
     @given(
         st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=50),
         st.floats(min_value=-150, max_value=150, allow_nan=False),
@@ -138,6 +158,13 @@ class TestEcdf:
         curve = ecdf(values)
         expected = sum(1 for v in values if v <= x) / len(values)
         assert curve.fraction_at(x) == pytest.approx(expected)
+
+    @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=50))
+    def test_matches_counting_reference_exactly(self, values):
+        distinct = sorted(set(values))
+        curve = ecdf(values)
+        assert curve.values == tuple(distinct)
+        assert curve.fractions == tuple(sum(v <= x for v in values) / len(values) for x in distinct)
 
     @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=50))
     def test_monotone_and_complete(self, values):

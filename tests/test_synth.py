@@ -14,6 +14,7 @@ from crowdmetrics.synth import (
     REGULAR_ONE_PROJECT,
     TRANSIENT_EXPLORER,
     TRANSIENT_ONE_PROJECT,
+    ActivityModel,
     InfeasibleConfigError,
     SynthConfig,
     generate,
@@ -178,6 +179,25 @@ class TestInfeasibleConfigs:
     def test_zero_volunteers_rejected(self):
         with pytest.raises(InfeasibleConfigError):
             generate(SynthConfig(volunteer_count=0))
+
+    def test_zero_projects_rejected(self):
+        with pytest.raises(InfeasibleConfigError, match="project_count must be >= 1"):
+            generate(SynthConfig(project_count=0))
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            (ActivityModel(tasks_per_day=(0, 3)), "bad tasks_per_day range"),
+            (ActivityModel(tasks_per_day=(3, 2)), "bad tasks_per_day range"),
+            (ActivityModel(active_days=(0, 4)), "bad active_days range"),
+            (ActivityModel(active_days=(5, 4)), "bad active_days range"),
+            (ActivityModel(extra_project_probability=-0.1), "bad extra_project_probability"),
+            (ActivityModel(extra_project_probability=1.5), "bad extra_project_probability"),
+        ],
+    )
+    def test_bad_activity_model_rejected(self, model, message):
+        with pytest.raises(InfeasibleConfigError, match=f"^{message} for {REGULAR_EXPLORER}$"):
+            generate(SynthConfig(activity={REGULAR_EXPLORER: model}))
 
     def test_reversed_window_rejected(self):
         with pytest.raises(InfeasibleConfigError):

@@ -217,3 +217,33 @@ class TestComputeVolunteerMetrics:
         assert everything["new"].available_projects == 2
         assert overlap["new"].exploration_rate == 1.0
         assert everything["new"].exploration_rate == 0.5
+
+
+class TestVolunteerRows:
+    @pytest.fixture(scope="class")
+    def metrics(self):
+        events = [ev(f"v{i}", f"t{i}", f"p{i % 3}", f"2014-01-{i % 9 + 1:02d}T10:00") for i in range(12)]
+        snap, volunteers, projects = profiles_from(events)
+        return compute_volunteer_metrics(volunteers, projects, snap.observation_end)
+
+    @pytest.mark.parametrize(
+        "part",
+        [slice(1, 3), slice(None), slice(None, None, 3), slice(-4, None), slice(-2, -9, -2),
+         slice(None, None, -1), slice(20, 30), slice(5, 2)],
+    )
+    def test_slice_is_the_same_slice_of_the_list(self, metrics, part):
+        rows = metrics.values()
+        assert rows[part] == list(rows)[part]
+
+    def test_index_out_of_range_names_the_volunteer_rows(self, metrics):
+        rows = metrics.values()
+        assert rows[-1] == list(rows)[-1] == metrics["v9"]
+        for index in (len(rows), -len(rows) - 1, 10**6):
+            with pytest.raises(IndexError, match="volunteer row index"):
+                rows[index]
+
+    @pytest.mark.parametrize("key", ["nobody", 3])
+    def test_unknown_id_is_a_key_error(self, metrics, key):
+        with pytest.raises(KeyError):
+            metrics[key]
+        assert key not in metrics
