@@ -172,7 +172,12 @@ def _config_from_args(args: argparse.Namespace) -> IngestConfig:
 
 
 def _build_report(args: argparse.Namespace):
-    result = load_events(_config_from_args(args))
+    config = _config_from_args(args)
+    # read the small sidecar first, so a bad one fails before a long load or crawl
+    registrations = None
+    if args.registration_dates:
+        registrations = load_registration_dates(args.registration_dates)
+    result = load_events(config)
     loaded_projects = set(result.events.project_ids)
     for project_id in dict.fromkeys(args.exclude_project):
         if project_id not in loaded_projects:
@@ -180,9 +185,6 @@ def _build_report(args: argparse.Namespace):
     snapshot = build_snapshot(
         result.events, observation_end=args.observation_end, exclusions=args.exclude_project
     )
-    registrations = None
-    if args.registration_dates:
-        registrations = load_registration_dates(args.registration_dates)
     options = ReportOptions(
         availability=args.availability,
         bootstrap_resamples=args.bootstrap_resamples,

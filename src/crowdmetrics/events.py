@@ -610,12 +610,27 @@ def build_snapshot(
     timestamp = table.timestamp
     # (volunteer, task) as one key that sorts by volunteer, then task
     pair = table.volunteer[rows].astype(np.int64) * len(table.task_ids) + table.task[rows]
-    order = np.lexsort((table.project[rows], timestamp[rows], pair))
-    pair, rows = pair[order], rows[order]
-    first = _group_starts(pair)
-    duplicates = len(rows) - len(first)
-    pair, rows = pair[first], rows[first]
-    rows = rows[np.lexsort((pair, timestamp[rows]))]
+    # this stage sets the run's peak memory: reassign one array at a time and
+    # drop each as soon as it is dead
+    order = np.argsort(pair)
+    rows = rows[order]
+    pair = pair[order]
+    del order
+    first = np.ones(len(pair), dtype=bool)
+    np.not_equal(pair[1:], pair[:-1], out=first[1:])
+    duplicates = len(pair) - int(np.count_nonzero(first))
+    # only the rows of a repeated pair need the full order; its first row wins
+    repeated = ~first
+    repeated[:-1] |= ~first[1:]
+    repeated = np.flatnonzero(repeated)
+    repeat_rows = rows[repeated]
+    order = np.lexsort((table.project[repeat_rows], timestamp[repeat_rows], pair[repeated]))
+    rows[repeated] = repeat_rows[order]
+    del pair, repeated, repeat_rows, order
+    rows = rows[first]
+    del first
+    # the kept rows are in pair order, so a stable sort breaks time ties by pair
+    rows = rows[np.argsort(timestamp[rows], kind="stable")]
     ordered = table.take(rows)
 
     latest = int(ordered.timestamp[-1])

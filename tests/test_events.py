@@ -1,5 +1,6 @@
 """Event parsing, snapshot construction, and profile derivation."""
 
+import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -208,6 +209,14 @@ class TestSnapshotProperties:
         snap = build_snapshot(events)
         assert list(snap.events) == dedupe_oracle(events)
 
+    @given(any_event_lists, st.randoms(use_true_random=False))
+    def test_row_order_does_not_matter(self, events, rng):
+        shuffled = list(events)
+        rng.shuffle(shuffled)
+        snap, again = build_snapshot(events), build_snapshot(shuffled)
+        assert again == snap
+        assert again.duplicates_removed == snap.duplicates_removed
+
     @given(event_lists())
     def test_idempotent(self, events):
         first = build_snapshot(events)
@@ -266,6 +275,65 @@ class TestSnapshotProperties:
         assert volunteers["v"].first_project == "pC"  # same microsecond: smaller task id
         assert volunteers["v"].active_days == {base.date()}
         assert volunteers["w"].active_days == {UNIX_EPOCH.date()}
+
+
+def settled(events):
+    """The snapshot of ``events``, checked against the oracle and its duplicate count."""
+    snap = build_snapshot(events)
+    assert list(snap.events) == dedupe_oracle(events)
+    assert snap.duplicates_removed == len(events) - len(snap.events)
+    return snap
+
+
+class TestRepeatedPairs:
+    """The rows of a repeated (volunteer, task) pair, settled apart from the rest."""
+
+    def test_every_row_a_repeat(self):
+        # 12 pairs of 3 rows each, their times and projects out of order
+        events = [ev_at(f"v{i % 3}", f"t{i % 4}", f"p{7 * i % 5}", 3600 * (11 * i % 17)) for i in range(36)]
+        assert settled(events).duplicates_removed == 24
+
+    @pytest.mark.parametrize("pair", [("v0", "t0"), ("v4", "t3")], ids=["first", "last"])
+    def test_only_one_pair_repeated(self, pair):
+        events = [ev_at(f"v{i % 5}", f"t{i // 5}", "p1", 60 * i) for i in range(20)]
+        events.append(ev_at(*pair, "p0", 30))
+        assert settled(events).duplicates_removed == 1
+
+    def test_equal_times_settled_by_the_smallest_project(self):
+        events = [
+            ev("a", "t1", "p3", "2014-01-05T00:00"),
+            ev("b", "t0", "p9", "2014-01-01T00:00"),
+            ev("a", "t1", "p1", "2014-01-05T00:00"),
+            ev("a", "t1", "p2", "2014-01-05T00:00"),
+        ]
+        snap = settled(events)
+        assert [(e.volunteer_id, e.project_id) for e in snap.events] == [("b", "p9"), ("a", "p1")]
+        assert snap.duplicates_removed == 2
+
+    def test_exact_copies_keep_one_event(self):
+        copy = ev("a", "t1", "p1", "2014-01-02T00:00")
+        events = [copy, ev("a", "t2", "p1", "2014-01-01T00:00"), copy, copy]
+        snap = settled(events)
+        assert list(snap.events) == [events[1], copy]
+        assert snap.duplicates_removed == 2
+
+    def test_no_repeats(self):
+        events = [ev_at(f"v{i % 7}", f"t{i}", f"p{i % 3}", 3600 * (i % 5)) for i in range(40)]
+        assert settled(events).duplicates_removed == 0
+
+    def test_seeded_log_with_repeats_in_many_pairs(self):
+        rng = random.Random(20)
+        events = []
+        for _ in range(19_000):
+            volunteer, task = f"v{rng.randrange(800):03d}", f"t{rng.randrange(2000):04d}"
+            events.append(ev_at(volunteer, task, f"p{rng.randrange(12)}", rng.randrange(30 * 86400)))
+        for original in rng.sample(events, 1000):
+            # a re-submission in any project: at the same instant a third of the time, else at any time
+            seconds = rng.randrange(30 * 86400)
+            when = original.timestamp if rng.random() < 1 / 3 else EPOCH + timedelta(seconds=seconds)
+            events.append(original._replace(project_id=f"p{rng.randrange(12)}", timestamp=when))
+        rng.shuffle(events)
+        assert settled(events).duplicates_removed >= 1000
 
 
 class TestDeriveProfiles:

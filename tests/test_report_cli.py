@@ -719,6 +719,29 @@ class TestCli:
         assert "postdates" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "sidecar_text",
+        [
+            None,
+            "volunteer,joined\nv000000,2013-01-01T00:00:00Z\n",
+            "volunteer_id,registered_at\nv000000,whenever\n",
+        ],
+        ids=["missing", "bad-header", "bad-timestamp"],
+    )
+    def test_bad_sidecar_fails_before_the_load(self, tmp_path, capsys, monkeypatch, sidecar_text):
+        def load_nothing(config):
+            raise AssertionError("events loaded before the sidecar was read")
+
+        monkeypatch.setattr("crowdmetrics.cli.load_events", load_nothing)
+        sidecar = tmp_path / "registrations.csv"
+        if sidecar_text is not None:
+            sidecar.write_text(sidecar_text, encoding="utf-8")
+        for source in (("--input", str(tmp_path / "events.csv")), ("--api-url", "http://platform.test")):
+            args = (*source, "--registration-dates", str(sidecar), "--out", str(tmp_path / "out"))
+            assert run_cli("report", *args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(sidecar) in err
+
+    @pytest.mark.parametrize(
         "rows", [[], [",t1,p1,2014-01-01T00:00:00Z"], ["u1,t1,p1,whenever", "u2,,p1,2014-01-01T00:00:00Z"]]
     )
     def test_input_without_events_is_data_error_that_blames_no_exclusion(self, tmp_path, capsys, rows):
