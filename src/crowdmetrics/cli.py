@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on usage errors (bad flags or flag values),
-2 when the data or an external system is at fault (malformed input in
-strict mode, schema mismatch, unreachable API, empty dataset).
+Exit codes: 0 on success, 1 on usage errors (bad flags or flag values,
+including a value that does not convert and ``synth`` flags that cannot
+produce their planted classes), 2 when the data or an external system is
+at fault (malformed input in strict mode, schema mismatch, unreachable
+API, empty dataset).
 """
 
 from __future__ import annotations
@@ -45,53 +47,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _timestamp_flag(raw: str):
-    try:
-        return parse_timestamp(raw)
-    except InvalidTimestampError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _flag(convert, check=None, message=""):
+    """An argparse type: ``convert(raw)``, a usage error if it fails ``check``."""
+
+    def flag(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError as exc:  # InvalidTimestampError included
+            raise argparse.ArgumentTypeError(str(exc))
+        if check is not None and not check(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    return flag
 
 
-def _api_url_flag(raw: str) -> str:
-    try:
-        return _api_url(raw)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _date_flag(raw: str) -> date:
-    try:
-        return date.fromisoformat(raw)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _confidence_level(raw: str) -> float:
-    value = float(raw)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("must be in (0, 1)")
-    return value
-
-
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _non_negative_int(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _non_negative_float(raw: str) -> float:
-    value = float(raw)
-    if not value >= 0.0:  # NaN compares false
-        raise argparse.ArgumentTypeError("must be a number >= 0")
-    return value
+_timestamp_flag = _flag(parse_timestamp)
+_api_url_flag = _flag(_api_url)
+_date_flag = _flag(date.fromisoformat)
+# NaN compares false, so it fails every range check
+_confidence_level = _flag(float, lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
+_positive_int = _flag(int, lambda v: v >= 1, "must be >= 1")
+_non_negative_int = _flag(int, lambda v: v >= 0, "must be >= 0")
+_non_negative_float = _flag(float, lambda v: v >= 0.0, "must be a number >= 0")
 
 
 def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
@@ -309,6 +287,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InfeasibleConfigError as exc:
+        # synth reads no input: a config it cannot satisfy comes from its flags
+        parser.error(str(exc))
     except (
         EmptyDatasetError,
         EventAfterObservationEndError,
@@ -317,7 +298,6 @@ def main(argv: list[str] | None = None) -> int:
         RegistrationAfterFirstEventError,
         SchemaError,
         NetworkError,
-        InfeasibleConfigError,
         OSError,
         UnicodeDecodeError,  # an input file that is not UTF-8
     ) as exc:

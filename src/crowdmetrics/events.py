@@ -457,11 +457,13 @@ class ProjectProfile:
         return self.recruited | self.inherited
 
 
-def _find(table: tuple[str, ...], item: str) -> int | None:
-    index = bisect_left(table, item)
-    if index < len(table) and table[index] == item:
-        return index
-    return None
+def _code(table: tuple[str, ...], key: str) -> int:
+    """Position of ``key`` in the sorted id ``table``; KeyError if it is not a str in it."""
+    if isinstance(key, str):
+        index = bisect_left(table, key)
+        if index < len(table) and table[index] == key:
+            return index
+    raise KeyError(key)
 
 
 def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -535,9 +537,7 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
         return iter(self.ids)
 
     def __getitem__(self, volunteer_id: str) -> VolunteerProfile:
-        code = _find(self.ids, volunteer_id) if isinstance(volunteer_id, str) else None
-        if code is None:
-            raise KeyError(volunteer_id)
+        code = _code(self.ids, volunteer_id)
         pairs = slice(self._pair_starts[code], self._pair_starts[code + 1])
         project_ids = self._events.project_ids
         return VolunteerProfile(
@@ -558,16 +558,14 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
 
     def days(self, volunteer_id: str) -> set[date]:
         """Calendar days (UTC) with a task by the volunteer."""
-        code = _find(self.ids, volunteer_id)
-        if code is None:
-            raise KeyError(volunteer_id)
+        code = _code(self.ids, volunteer_id)
         timestamps = self._events.timestamp[self._events.volunteer == code]
         day_numbers = set((timestamps // DAY_MICROS).tolist())
         return {_day(number) for number in day_numbers}
 
     def members(self, project_id: str, recruited: bool) -> set[str]:
         """Volunteers of a project that it recruited, or else inherited."""
-        code = _find(self._events.project_ids, project_id)
+        code = _code(self._events.project_ids, project_id)
         members = self._pair_volunteer[self._pair_project == code]
         chosen = members[(self.first_project[members] == code) == recruited]
         return {self.ids[volunteer] for volunteer in chosen.tolist()}
@@ -679,8 +677,9 @@ def derive_profiles(
     if registration_dates:
         late = []
         for volunteer_id, registered in registration_dates.items():
-            code = _find(volunteers.ids, volunteer_id)
-            if code is None:
+            try:
+                code = _code(volunteers.ids, volunteer_id)
+            except KeyError:  # an id with no events
                 continue
             micros = to_micros(registered)
             if micros > volunteers.join[code]:

@@ -119,19 +119,10 @@ def _validate(config: SynthConfig, class_counts: Mapping[str, int], day_count: i
         raise InfeasibleConfigError("class-mix fractions must be non-negative")
     if abs(sum(config.class_mix.values()) - 1.0) > 1e-9:
         raise InfeasibleConfigError("class-mix fractions must sum to 1")
-    multi = (
-        class_counts[TRANSIENT_EXPLORER]
-        + class_counts[REGULAR_EXPLORER]
-        + class_counts[MULTI_PROJECT_REGULAR]
-    )
-    if multi > 0 and config.project_count < 2:
+    planted = [EXPECTED_LABELS[c] for c, count in class_counts.items() if count > 0]
+    if config.project_count < 2 and any(project is not ProjectClass.ONE_PROJECT for _, project in planted):
         raise InfeasibleConfigError("multi-project classes require at least 2 projects")
-    regular = (
-        class_counts[REGULAR_ONE_PROJECT]
-        + class_counts[REGULAR_EXPLORER]
-        + class_counts[MULTI_PROJECT_REGULAR]
-    )
-    if regular > 0 and day_count < 2:
+    if day_count < 2 and any(platform is PlatformClass.REGULAR for platform, _ in planted):
         raise InfeasibleConfigError("regular classes require a window of at least 2 days")
     for planted_class in PLANTED_CLASSES:
         model = config.model_for(planted_class)

@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .events import DAY_MICROS, ProjectProfile, VolunteerProfile, VolunteerProfiles, _find, to_micros
+from .events import DAY_MICROS, ProjectProfile, VolunteerProfile, VolunteerProfiles, _code, to_micros
 
 #: Availability modes: "overlap" counts projects whose last event is not
 #: before the volunteer's join instant; "all" counts every project on the
@@ -191,10 +191,7 @@ class VolunteerMetricsTable(Mapping[str, VolunteerMetrics]):
         return iter(self.volunteer_ids)
 
     def __getitem__(self, volunteer_id: str) -> VolunteerMetrics:
-        code = _find(self.volunteer_ids, volunteer_id) if isinstance(volunteer_id, str) else None
-        if code is None:
-            raise KeyError(volunteer_id)
-        return self.values()[code]
+        return self.values()[_code(self.volunteer_ids, volunteer_id)]
 
     def values(self) -> VolunteerRows:
         return VolunteerRows(self)

@@ -426,6 +426,17 @@ class TestDeriveProfiles:
         with pytest.raises(KeyError, match="nobody"):
             volunteers.days("nobody")
 
+    def test_lookup_by_an_id_that_is_not_a_str_is_a_key_error(self):
+        volunteers, _ = derive_profiles(build_snapshot([ev("a", "t1", "p1", "2014-01-01T00:00")]))
+        with pytest.raises(KeyError):
+            volunteers.days(5)
+
+    @pytest.mark.parametrize("recruited", [True, False])
+    def test_members_of_an_unknown_project_is_a_key_error(self, recruited):
+        volunteers, _ = derive_profiles(build_snapshot([ev("a", "t1", "p1", "2014-01-01T00:00")]))
+        with pytest.raises(KeyError, match="nope"):
+            volunteers.members("nope", recruited)
+
     def test_pure_function_of_snapshot(self):
         events = [ev_at(f"v{i % 3}", f"t{i}", f"p{i % 2}", i * 3600) for i in range(20)]
         snap = build_snapshot(events)
@@ -457,6 +468,16 @@ class TestRegistrationOverride:
         assert volunteers["v1"].join_instant == ts("2014-03-10T12:00:00")
         assert volunteers["v2"].join_instant == ts("2014-02-01T00:00:00")
         assert "ghost" not in volunteers
+
+    def test_ids_without_events_ignored_wherever_they_sort(self):
+        events = [
+            ev("m", "t1", "p1", "2014-03-10T12:00:00"),
+            ev("s", "t2", "p1", "2014-03-11T12:00:00"),
+        ]
+        snap = build_snapshot(events)
+        early = ts("2014-01-01T00:00:00")
+        ghosts = {ghost: early for ghost in ("a", "p", "z")}  # before, between and after the ids
+        assert derive_profiles(snap, {**ghosts, "s": early}) == derive_profiles(snap, {"s": early})
 
     def test_postdated_registration_rejected(self):
         events = [ev("v1", "t1", "p1", "2014-03-10T12:00:00")]

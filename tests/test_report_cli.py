@@ -5,15 +5,20 @@ import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 import weakref
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from types import ModuleType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crowdmetrics
 from crowdmetrics import report as report_module
 from crowdmetrics.cli import main
 from crowdmetrics.events import EventTable, PlatformSnapshot, VolunteerProfiles, build_snapshot
@@ -625,6 +630,21 @@ class TestCli:
         assert "--seed: must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (("--start", "2014-01-02", "--end", "2014-01-01"), "platform start must not be after end"),
+            (("--projects", "1"), "multi-project classes require at least 2 projects"),
+        ],
+    )
+    def test_synth_flags_that_cannot_produce_their_classes_are_usage_errors(self, tmp_path, capsys, argv, reason):
+        out = tmp_path / "synthdata"
+        with pytest.raises(SystemExit) as err:
+            run_cli("synth", *argv, "--out", str(out))
+        assert err.value.code == 1
+        assert f"error: {reason}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_loaded_table_is_freed_before_the_report_is_built(self, event_csv, tmp_path, capsys, monkeypatch):
         # the snapshot holds a copy of the events, so the load's table need not
         # stay alive through the report stage
@@ -813,6 +833,35 @@ class TestCli:
             run_cli(command, "--input", str(tmp_path / "ghost.csv"), "--seed", "-1", "--out", str(tmp_path))
         assert err.value.code == 1
         assert "--seed: must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("synth", "--seed", "abc"), "argument --seed: invalid literal for int() with base 10: 'abc'"),
+            (
+                ("ingest", "--api-url", "http://h", "--page-size", "x"),
+                "argument --page-size: invalid literal for int() with base 10: 'x'",
+            ),
+            (
+                ("metrics", "--input", "x", "--confidence-level", "x"),
+                "argument --confidence-level: could not convert string to float: 'x'",
+            ),
+        ],
+    )
+    def test_flag_value_that_does_not_convert_is_usage_error(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv, "--out", str(tmp_path / "out"))
+        assert err.value.code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_importing_the_cli_leaves_requests_unimported(self):
+        # requests serves only an API source, so a start-up without one never pays for it
+        package_root = str(Path(crowdmetrics.__file__).resolve().parent.parent)
+        probe = "import sys, crowdmetrics.cli; sys.exit('requests' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=package_root)
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr or "crowdmetrics.cli imported requests"
 
     def test_unexpected_value_error_is_not_a_data_fault(self, event_csv, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
