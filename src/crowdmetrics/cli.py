@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         " (default: 0, uniform)",
     )
     synth.add_argument("--out", required=True, metavar="DIR", help="output directory")
-    synth.set_defaults(func=cmd_synth)
+    synth.set_defaults(func=cmd_synth, usage_error=synth.error)
 
     return parser
 
@@ -289,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except InfeasibleConfigError as exc:
         # synth reads no input: a config it cannot satisfy comes from its flags
-        parser.error(str(exc))
+        args.usage_error(str(exc))
     except (
         EmptyDatasetError,
         EventAfterObservationEndError,

@@ -148,6 +148,10 @@ def _api_url(url: str) -> str:
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"API URL must be http:// or https:// with a host, got {url!r}")
+    try:
+        parts.port  # raises for a port out of range or not a number
+    except ValueError:
+        raise ValueError(f"API URL port must be a number in 0..65535, got {url!r}") from None
     return url
 
 

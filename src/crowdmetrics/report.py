@@ -9,14 +9,12 @@ to compare ingestion routes.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass
 from datetime import datetime
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
@@ -294,30 +292,24 @@ def _document(report: MetricsReport) -> dict:
     }
 
 
-def _cell(value: object) -> object:
-    """A table cell: a float gets 6 decimals, None is empty, anything else is as it is."""
+def _cell(value: object) -> str:
+    """A table cell: a float gets 6 decimals, None is empty, a ``str`` (a class enum too)
+    stays as it is, anything else is its ``str``. A cell holding a comma, a quote, "\r"
+    or "\n" is quoted, each quote doubled (RFC 4180)."""
     if isinstance(value, float):
         return f"{value:.6f}"
-    return "" if value is None else value
-
-
-def _table_writer(handle: TextIO):
-    """A ``csv.writer`` onto ``handle`` with "\n" line ends, one write per row.
-
-    Fields holding a comma, quote, "\r" or "\n" are quoted. The writer gets
-    "\r\n" as its line terminator because it quotes only the line-terminator
-    characters it was given; it writes one whole row per call, and each
-    row's terminator is swapped for "\n".
-    """
-    sink = SimpleNamespace(write=lambda line: handle.write(line[:-2] + "\n"))
-    return csv.writer(sink, lineterminator="\r\n")
+    if value is None:
+        return ""
+    text = value if isinstance(value, str) else str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_table(rows: list[dict], handle: TextIO) -> None:
-    """CSV of ``rows``' ``_cell``s under a header of their keys, through ``_table_writer``."""
-    writer = _table_writer(handle)
-    writer.writerow(rows[0])
-    writer.writerows(map(_cell, row.values()) for row in rows)
+    """CSV of ``rows``' ``_cell``s under a header of their keys, "\n" line ends."""
+    for cells in [rows[0], *(row.values() for row in rows)]:
+        handle.write(",".join(map(_cell, cells)) + "\n")
 
 
 def _write_platform(doc: dict, handle: TextIO) -> None:
@@ -354,7 +346,7 @@ def _write_activity(doc: dict, handle: TextIO) -> None:
     rows = doc["platform"]["activity"]
     handle.write(f"# {' '.join(rows[0])}\n")
     for row in rows:
-        handle.write(" ".join("NA" if v is None else str(_cell(v)) for v in row.values()) + "\n")
+        handle.write(" ".join("NA" if v is None else _cell(v) for v in row.values()) + "\n")
 
 
 #: Volunteer rows formatted per write: about 1.5 MB of report.json text at a time.
@@ -365,13 +357,7 @@ _JSON_ORDER = sorted(range(len(_FIELDS)), key=_FIELDS.__getitem__)
 _JSON_ROW = "    {\n" + ",\n".join(f"      {json.dumps(_FIELDS[i])}: %s" for i in _JSON_ORDER) + "\n    }"
 
 
-def _volunteer_columns(rows: VolunteerRows) -> Iterator[list]:
-    """The rows' ``VolunteerMetricsTable.columns``, ``_ROWS_PER_WRITE`` rows at a time."""
-    for start in range(0, len(rows), _ROWS_PER_WRITE):
-        yield rows.table.columns(slice(start, start + _ROWS_PER_WRITE))
-
-
-def _distinct_cells(column: np.ndarray, cell: Callable[[object], object]) -> list:
+def _distinct_cells(column: np.ndarray, cell: Callable[[object], str]) -> list[str]:
     """``cell`` of each number in ``column``, called once per distinct value.
 
     The counts and rates take few distinct values, and about a third of the
@@ -382,12 +368,12 @@ def _distinct_cells(column: np.ndarray, cell: Callable[[object], object]) -> lis
     return np.array(list(map(cell, distinct.tolist())), dtype=object)[inverse].tolist()
 
 
-def _json_cells(column) -> Iterable[str]:
-    """Each cell's JSON text, as ``json`` writes it: a string ASCII-escaped and
-    quoted, an int or a finite float as its ``repr`` (every metric is finite)."""
-    if isinstance(column, np.ndarray):
-        return _distinct_cells(column, repr)
-    return map(encode_basestring_ascii, column)
+def _volunteer_cells(rows: VolunteerRows, number: Callable, text: Callable) -> Iterator[list[Iterable]]:
+    """The rows' cells in field order, ``_ROWS_PER_WRITE`` rows at a time: the
+    counts and rates through ``number``, the ids and classes through ``text`` as they are read."""
+    for start in range(0, len(rows), _ROWS_PER_WRITE):
+        columns = rows.table.columns(slice(start, start + _ROWS_PER_WRITE))
+        yield [_distinct_cells(c, number) if isinstance(c, np.ndarray) else map(text, c) for c in columns]
 
 
 def _write_json(doc: dict, handle: TextIO) -> None:
@@ -395,29 +381,25 @@ def _write_json(doc: dict, handle: TextIO) -> None:
 
     ``doc`` is ``_document(report)``. "volunteers" is its last key in sorted
     order, so ``json`` writes the rest of the document, whose closing "\n}"
-    the volunteer list then replaces, formatted from the columns
-    ``_ROWS_PER_WRITE`` rows at a time.
+    the volunteer list then replaces. Its cells are the text ``json``
+    writes: a number's ``repr`` (every metric is finite), a string
+    ASCII-escaped and quoted.
     """
     rest = {key: value for key, value in doc.items() if key != "volunteers"}
     handle.write(json.dumps(rest, sort_keys=True, indent=2)[: -len("\n}")] + ',\n  "volunteers": [')
     separator = "\n"
-    for columns in _volunteer_columns(doc["volunteers"]):
-        cells = [_json_cells(columns[i]) for i in _JSON_ORDER]
-        handle.write(separator + ",\n".join(map(_JSON_ROW.__mod__, zip(*cells))))
+    for cells in _volunteer_cells(doc["volunteers"], repr, encode_basestring_ascii):
+        rows = zip(*map(cells.__getitem__, _JSON_ORDER))
+        handle.write(separator + ",\n".join(map(_JSON_ROW.__mod__, rows)))
         separator = ",\n"
     handle.write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
 
 
 def _write_volunteers(doc: dict, handle: TextIO) -> None:
-    """``_write_table`` of ``report_to_dict(report)["volunteers"]``, from the columns.
-
-    Only the counts and rates are numbers, so only they pass through ``_cell``.
-    """
-    writer = _table_writer(handle)
-    writer.writerow(_FIELDS)
-    for columns in _volunteer_columns(doc["volunteers"]):
-        cells = (_distinct_cells(c, _cell) if isinstance(c, np.ndarray) else c for c in columns)
-        writer.writerows(zip(*cells))
+    """``_write_table`` of ``report_to_dict(report)["volunteers"]``, from the columns."""
+    handle.write(",".join(_FIELDS) + "\n")
+    for cells in _volunteer_cells(doc["volunteers"], _cell, _cell):
+        handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 #: Artifact name -> writer of its view of the ``_document`` document,

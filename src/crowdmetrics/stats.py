@@ -241,17 +241,14 @@ class ClassDistribution:
     platform_counts: Mapping[PlatformClass, int]
     project_counts: Mapping[ProjectClass, int]
 
+    def _percentages(self, counts: Mapping) -> dict:
+        return {cls: Fraction(100 * count, self.total) for cls, count in counts.items()}
+
     def platform_percentages(self) -> dict[PlatformClass, Fraction]:
-        return {
-            cls: Fraction(100 * count, self.total)
-            for cls, count in self.platform_counts.items()
-        }
+        return self._percentages(self.platform_counts)
 
     def project_percentages(self) -> dict[ProjectClass, Fraction]:
-        return {
-            cls: Fraction(100 * count, self.total)
-            for cls, count in self.project_counts.items()
-        }
+        return self._percentages(self.project_counts)
 
 
 def class_distribution(

@@ -301,11 +301,16 @@ class TestSerialization:
     def test_volunteer_rows_match_oracles_across_batches(self, tmp_path, monkeypatch, rows_per_write):
         monkeypatch.setattr("crowdmetrics.report._ROWS_PER_WRITE", rows_per_write)
         # ids json escapes (non-ASCII, quote, backslash, tab) and csv quotes
-        # (comma, quote, "\r", "\n"), among plain ones, over several batches
-        odd_ids = ["vé", "测试", 'q"uote', "back\\slash", "t\tab", "com,ma", "cr\rid", "lf\nid", "nul\x00id"]
+        # (comma, quote, "\r", "\n"), with NUL, a lone quote and outer spaces,
+        # among plain ones, over several batches
+        odd_ids = [
+            "vé", "测试", 'q"uote', "back\\slash", "t\tab", "com,ma", "cr\rid", "lf\nid", "nul\x00id",
+            '"', " lead", "trail ", " both ",
+        ]
         ids = odd_ids + [f"v{k:02d}" for k in range(12)]
+        projects = ["p,1", 'p"2', "p\r3", "p\n4", "p\x005", '"', " p7", "p8 ", "p9"]
         events = [
-            ev(volunteer, f"t{i}-{j}", f"p{(i + j) % 4}", f"2014-01-{1 + (3 * i + 5 * j) % 20:02d}T10:00")
+            ev(volunteer, f"t{i}-{j}", projects[(i + j) % 9], f"2014-01-{1 + (3 * i + 5 * j) % 20:02d}T10:00")
             for i, volunteer in enumerate(ids)
             for j in range(1 + i % 3)
         ]
@@ -318,16 +323,21 @@ class TestSerialization:
         oracle = json.dumps(document, sort_keys=True, indent=2) + "\n"
         assert paths["report.json"].read_bytes() == oracle.encode("utf-8")
 
-        # csv.writer under the table rule: floats with 6 decimals, "\n" line ends
-        lines = []
-        for cells in [list(rows[0])] + [
-            [f"{value:.6f}" if isinstance(value, float) else value for value in row.values()]
-            for row in rows
-        ]:
-            buffer = io.StringIO()
-            csv.writer(buffer, lineterminator="\r\n").writerow(cells)
-            lines.append(buffer.getvalue()[:-2] + "\n")
-        assert paths["volunteers.csv"].read_bytes() == "".join(lines).encode("utf-8")
+        # csv.writer with "\r\n" line ends, which it quotes, each trimmed to
+        # "\n": floats with 6 decimals, None an empty cell
+        def oracle_table(rows):
+            lines = []
+            for cells in [list(rows[0])] + [
+                [f"{value:.6f}" if isinstance(value, float) else value for value in row.values()]
+                for row in rows
+            ]:
+                buffer = io.StringIO()
+                csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+                lines.append(buffer.getvalue()[:-2] + "\n")
+            return "".join(lines).encode("utf-8")
+
+        assert paths["volunteers.csv"].read_bytes() == oracle_table(rows)
+        assert paths["projects.csv"].read_bytes() == oracle_table(document["projects"])
 
     def test_text_artifact_bytes(self, tmp_path):
         # ids with a comma, a quote, a line break and non-ASCII characters; a
@@ -642,7 +652,9 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             run_cli("synth", *argv, "--out", str(out))
         assert err.value.code == 1
-        assert f"error: {reason}" in capsys.readouterr().err
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage: crowdmetrics synth ")
+        assert f"crowdmetrics synth: error: {reason}" in stderr
         assert not out.exists()
 
     def test_loaded_table_is_freed_before_the_report_is_built(self, event_csv, tmp_path, capsys, monkeypatch):
@@ -820,6 +832,15 @@ class TestCli:
             run_cli("validate", "--api-url", url)
         assert err.value.code == 1
         assert "--api-url: API URL must be http:// or https:// with a host" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("url", ["http://localhost:99999", "http://localhost:abc"])
+    def test_api_url_with_a_bad_port_is_usage_error_before_any_request(self, url, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli("validate", "--api-url", url)
+        assert err.value.code == 1
+        assert "--api-url: API URL port must be a number in 0..65535" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="port"):
+            IngestConfig(kind="api", location=url)
 
     @pytest.mark.parametrize("level", ["0", "1", "1.5", "-0.1", "nan"])
     def test_confidence_level_outside_unit_interval_is_usage_error(self, event_csv, level):
