@@ -32,9 +32,10 @@ import hashlib
 import json
 import logging
 import os
+import threading
 import time
 from array import array
-from collections import defaultdict
+from collections import defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -72,6 +73,9 @@ CSV_HEADER = list(CANONICAL_FIELDS)
 
 MAX_API_ATTEMPTS = 5
 BACKOFF_BASE_SECONDS = 0.5
+#: API page requests in flight at once after the first page; the crawl makes at most
+#: ``_API_WINDOW - 1`` requests past its last page.
+_API_WINDOW = 4
 
 #: Rows per timestamp block; bounds the raw strings held and the parse's temporaries.
 _PARSE_CHUNK = 1 << 16
@@ -234,8 +238,9 @@ def _load_records(pages: Iterable[tuple[str, Iterable[tuple[int, Any]]]], strict
     and at each page end; the block's fixed-width ISO-8601 values are parsed
     in one vectorised pass and the rest by ``parse_timestamp``. A malformed
     record is tallied or, in strict mode, raised once the records before it
-    are parsed, so the first bad record is the one reported and a bad page
-    fails before the next one is fetched.
+    are parsed, so the first bad record is the one reported, and a bad API
+    page fails before any page more than ``_API_WINDOW - 1`` past it is
+    requested.
     """
     # id -> code; a new id gets the next code, so codes follow arrival order
     volunteer_codes: dict[str, int] = defaultdict(count().__next__)
@@ -648,56 +653,64 @@ def _write_cache(path: Path, body: bytes) -> None:
     """Write a page's response bytes, as served, through ``_replacing``, so a reader never sees part of them.
 
     Not fsynced: a page that a power loss leaves empty or cut short no
-    longer decodes, and ``_get_page`` then fetches it again.
+    longer decodes, and the crawl then fetches it again.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with _replacing(path) as (temp,):
         temp.write_bytes(body)
 
 
-def _get_page(
-    url: str,
-    session: Any,
-    sleep: Callable[[float], None],
-    cache_dir: Path | None,
-) -> list:
-    if cache_dir is not None:
-        cached = _cache_path(cache_dir, url)
-        try:
-            page = json.loads(cached.read_bytes())
-            if isinstance(page, list):
-                return page
-            raise SchemaError(f"expected a JSON array, got {type(page).__name__}")
-        except FileNotFoundError:
-            pass
-        except (ValueError, RecursionError) as exc:  # undecodable, nested too deep, or not an array
-            logger.warning(
-                "ignoring unreadable cache file %s for %s (%s); fetching again", cached, url, exc
-            )
-    last_error: Exception | None = None
-    for attempt in range(MAX_API_ATTEMPTS):
-        if attempt:
-            delay = BACKOFF_BASE_SECONDS * 2 ** (attempt - 1)
-            logger.warning("retrying %s (attempt %d/%d) after %.1fs", url, attempt + 1, MAX_API_ATTEMPTS, delay)
-            sleep(delay)
-        try:
-            response = session.get(url, timeout=30)
-            status = response.status_code
-            if status >= 500:
-                last_error = NetworkError(f"server error {status} from {url}")
-                continue
-            if status >= 400:
-                raise NetworkError(f"client error {status} from {url}")
-            page = json.loads(response.content)
-        except (OSError, ValueError, RecursionError) as exc:  # requests' errors are OSErrors
-            last_error = exc
-            continue
-        if not isinstance(page, list):
-            raise SchemaError(f"{url}: expected a JSON array, got {type(page).__name__}")
-        if cache_dir is not None:
-            _write_cache(_cache_path(cache_dir, url), response.content)
-        return page
-    raise NetworkError(f"giving up on {url} after {MAX_API_ATTEMPTS} attempts") from last_error
+def _cached_page(cache_dir: Path | None, url: str) -> list | None:
+    """The records in ``url``'s cache file; None with no cache, no file, or a file that is not a JSON array."""
+    if cache_dir is None:
+        return None
+    cached = _cache_path(cache_dir, url)
+    try:
+        page = json.loads(cached.read_bytes())
+        if isinstance(page, list):
+            return page
+        raise SchemaError(f"expected a JSON array, got {type(page).__name__}")
+    except FileNotFoundError:
+        pass
+    except (ValueError, RecursionError) as exc:  # undecodable, nested too deep, or not an array
+        logger.warning("ignoring unreadable cache file %s for %s (%s); fetching again", cached, url, exc)
+    return None
+
+
+def _attempt(url: str, get: Callable[..., Any]) -> tuple[list, bytes] | Exception:
+    """One request for a page: its records and body, or the error another attempt may clear.
+
+    A connection error, a body that does not decode, a 5xx and a 429 (rate
+    limited) are returned; any other 4xx raises ``NetworkError``, and a body
+    that decodes to anything but an array raises ``SchemaError``.
+    """
+    try:
+        response = get(url, timeout=30)
+        status = response.status_code
+        if status >= 500 or status == 429:
+            return NetworkError(f"HTTP {status} from {url}")
+        if status >= 400:
+            raise NetworkError(f"client error {status} from {url}")
+        page = json.loads(response.content)
+    except (OSError, ValueError, RecursionError) as exc:  # requests' errors are OSErrors
+        return exc
+    if not isinstance(page, list):
+        raise SchemaError(f"{url}: expected a JSON array, got {type(page).__name__}")
+    return page, response.content
+
+
+def _retried(url: str, get: Callable[..., Any], sleep: Callable[[float], None], outcome: Any) -> tuple[list, bytes]:
+    """``outcome``, a page's first ``_attempt``, or else the first retry after backoff to succeed."""
+    attempts = 1
+    while isinstance(outcome, Exception):
+        if attempts == MAX_API_ATTEMPTS:
+            raise NetworkError(f"giving up on {url} after {MAX_API_ATTEMPTS} attempts") from outcome
+        delay = BACKOFF_BASE_SECONDS * 2 ** (attempts - 1)
+        attempts += 1
+        logger.warning("retrying %s (attempt %d/%d) after %.1fs", url, attempts, MAX_API_ATTEMPTS, delay)
+        sleep(delay)
+        outcome = _attempt(url, get)
+    return outcome
 
 
 def fetch_api(
@@ -707,13 +720,17 @@ def fetch_api(
 ) -> IngestResult:
     """Fetch all task-run records from a paged API.
 
-    Pages ``GET <base>/api/taskrun?limit=L&offset=O`` until a short page.
-    Transient failures are retried with exponential backoff, at most
-    MAX_API_ATTEMPTS attempts per page. With a ``cache_dir`` configured every
-    page's response bytes are written to disk as served and reused on later
-    runs, so an analysis stays reproducible after the platform goes away.
-    ``session.get(url, timeout=...)`` must return an object with ``.status_code``
-    and ``.content`` (the body's bytes); the default is a ``requests.Session``.
+    Pages ``GET <base>/api/taskrun?limit=L&offset=O`` until a short page,
+    up to ``_API_WINDOW`` (4) requests at a time, and reads the pages in
+    offset order (see ``_api_pages``). Transient failures are retried with
+    exponential backoff, at most MAX_API_ATTEMPTS attempts per page. With a
+    ``cache_dir`` configured every page's response bytes are written to disk
+    as served and reused on later runs, so an analysis stays reproducible
+    after the platform goes away. ``session.get(url, timeout=...)``, which
+    may be called from up to 4 threads at once, must return an object with
+    ``.status_code`` and ``.content`` (the body's bytes); the default is one
+    ``requests.Session`` per thread. Every thread this starts is joined, and
+    every session it opens closed, before it returns.
 
     Raises:
         NetworkError: a page kept failing.
@@ -722,26 +739,65 @@ def fetch_api(
     """
     if config.kind != "api":
         raise ValueError(f"fetch_api cannot handle source kind {config.kind!r}")
-    if session is None:
+    from concurrent.futures import ThreadPoolExecutor
+
+    sessions: list[Any] = []
+    if session is not None:
+        get = session.get
+    else:
         import requests
 
-        session = requests.Session()
-    return _load_records(_api_pages(config, session, sleep), config.strict)
+        local = threading.local()
+
+        def get(url: str, timeout: float) -> Any:
+            if not hasattr(local, "session"):
+                local.session = requests.Session()
+                sessions.append(local.session)
+            return local.session.get(url, timeout=timeout)
+
+    pool = ThreadPoolExecutor(_API_WINDOW)
+    try:
+        return _load_records(_api_pages(config, get, sleep, pool.submit), config.strict)
+    finally:
+        pool.shutdown(cancel_futures=True)  # after the attempts in flight return
+        for each in sessions:
+            each.close()
 
 
-def _api_pages(config: IngestConfig, session: Any, sleep: Callable[[float], None]):
-    """Yield ``(page url, fields of its records)`` page by page until a short page."""
+def _api_pages(
+    config: IngestConfig, get: Callable[..., Any], sleep: Callable[[float], None], submit: Callable[..., Any]
+) -> Iterator[tuple[str, Iterator[tuple[int, Any]]]]:
+    """Yield ``(page url, fields of its records)`` in offset order until a short page.
+
+    The first page is requested alone, so a one-page crawl or a bad URL
+    makes one request; after it, ``_API_WINDOW`` pages are queued, each as
+    its cached records or as ``submit``'s future of its first attempt. A
+    cached short page ends the queueing, so a warm cache makes no request.
+    The page at the head is retried, if need be, and cached here, so
+    ``sleep`` is called from this thread alone, and a page past the end,
+    whose answer is discarded, is requested at most once and never cached.
+    """
     base = config.location.rstrip("/")
     cache_dir = Path(config.cache_dir) if config.cache_dir is not None else None
     keys = _field_keys(config.field_map)
-    offset = 0
+    offsets = count(0, config.page_size)
+    queued: deque[tuple[str, Any]] = deque()  # (url, records or future) of the pages ahead
+    width, short_page_queued = 1, False
     while True:
-        url = f"{base}/api/taskrun?limit={config.page_size}&offset={offset}"
-        page = _get_page(url, session, sleep, cache_dir)
+        while len(queued) < width and not short_page_queued:
+            url = f"{base}/api/taskrun?limit={config.page_size}&offset={next(offsets)}"
+            page = _cached_page(cache_dir, url)
+            short_page_queued = page is not None and len(page) < config.page_size
+            queued.append((url, submit(_attempt, url, get) if page is None else page))
+        url, page = queued.popleft()
+        if not isinstance(page, list):
+            page, body = _retried(url, get, sleep, page.result())
+            if cache_dir is not None:
+                _write_cache(_cache_path(cache_dir, url), body)
         yield url, _json_fields(enumerate(page), keys)
         if len(page) < config.page_size:
             return
-        offset += config.page_size
+        width = _API_WINDOW
 
 
 def load_events(config: IngestConfig) -> IngestResult:

@@ -6,8 +6,13 @@ assumptions hold for a live socket.
 """
 
 import csv
+import gc
 import json
+import os
+import sys
 import threading
+import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -64,6 +69,9 @@ class StubSession:
             raise outcome
         return outcome
 
+    def close(self):
+        pass
+
 
 def page_url(offset, limit=100):
     return f"{BASE}/api/taskrun?limit={limit}&offset={offset}"
@@ -71,6 +79,27 @@ def page_url(offset, limit=100):
 
 def config(**kwargs):
     return IngestConfig(kind="api", location=BASE, **kwargs)
+
+
+def assert_crawled(calls, last_offset, limit=100):
+    """Check a windowed crawl's requests, read up to the page at ``last_offset``.
+
+    Page 0 comes first, each page read is requested exactly once, and of the
+    pages after the last one read, at most the next ``_API_WINDOW - 1`` (3)
+    are requested, each at most once.
+    """
+    read = [page_url(offset, limit) for offset in range(0, last_offset + 1, limit)]
+    past = [page_url(last_offset + limit * ahead, limit) for ahead in range(1, ingest._API_WINDOW)]
+    assert calls[0] == read[0]
+    assert sorted(calls) == sorted(read + [url for url in past if url in calls])
+
+
+@contextmanager
+def no_thread_left():
+    """Check that the block leaves as many threads running as it found."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 class TestPaging:
@@ -85,7 +114,7 @@ class TestPaging:
         )
         result = fetch_api(config(), session=session, sleep=lambda s: None)
         assert result.loaded == 250
-        assert session.calls == [page_url(0), page_url(100), page_url(200)]
+        assert_crawled(session.calls, 200)
         assert result.events[0].volunteer_id == "u0"
         assert result.events[249].task_id == "t249"
 
@@ -99,7 +128,7 @@ class TestPaging:
         )
         result = fetch_api(config(), session=session, sleep=lambda s: None)
         assert result.loaded == 100
-        assert len(session.calls) == 2
+        assert_crawled(session.calls, 100)
 
     def test_page_size_in_url(self):
         session = StubSession({page_url(0, limit=10): [StubResponse([])]})
@@ -211,7 +240,7 @@ class TestLoaderEquivalence:
             fetch_api(config(page_size=4, strict=True), session=session, sleep=lambda s: None)
         assert (from_api.value.source, from_api.value.line_number) == (page_url(4, 4), 0)
         assert from_jsonl.value.reason == from_api.value.reason == "expected a JSON object, got list"
-        assert session.calls == [page_url(0, 4), page_url(4, 4)]
+        assert_crawled(session.calls, 4, limit=4)
 
 
 class TestUnwritableIds:
@@ -358,6 +387,22 @@ class TestRetries:
             fetch_api(config(), session=session, sleep=lambda s: None)
         assert len(session.calls) == 1
 
+    def test_rate_limit_retried_like_a_server_error(self):
+        session = StubSession({page_url(0): [StubResponse(None, status=429), StubResponse([record(1)])]})
+        sleeps = []
+        with no_thread_left():
+            result = fetch_api(config(), session=session, sleep=sleeps.append)
+        assert result.loaded == 1
+        assert sleeps == [BACKOFF_BASE_SECONDS]
+
+    def test_rate_limit_on_every_attempt_gives_up(self):
+        session = StubSession({page_url(0): [StubResponse(None, status=429)]})
+        sleeps = []
+        with no_thread_left(), pytest.raises(NetworkError, match="giving up"):
+            fetch_api(config(), session=session, sleep=sleeps.append)
+        assert len(session.calls) == MAX_API_ATTEMPTS
+        assert len(sleeps) == MAX_API_ATTEMPTS - 1
+
     def test_gives_up_after_max_attempts(self):
         session = StubSession({page_url(0): [requests.ConnectionError("down")]})
         sleeps = []
@@ -468,10 +513,80 @@ class TestCache:
         assert not any(tmp_path.iterdir())
 
 
+class TestWindow:
+    """Pages are requested up to ``_API_WINDOW`` at a time and read strictly in offset order."""
+
+    def test_warm_cache_makes_no_request(self, tmp_path):
+        records = [record(i) for i in range(250)]
+        cfg = config(cache_dir=str(tmp_path))
+        first = fetch_api(cfg, session=paged_session(records, 100), sleep=lambda s: None)
+        assert len(list(tmp_path.iterdir())) == 3
+        session = StubSession({})  # any get raises KeyError
+        with no_thread_left():
+            second = fetch_api(cfg, session=session, sleep=lambda s: None)
+        assert session.calls == []
+        assert second.loaded == 250
+        assert second.events == first.events
+
+    @pytest.mark.parametrize(
+        "answer",
+        [lambda: requests.ConnectionError("gone"), lambda: StubResponse(None, status=503)],
+        ids=["raise", "503"],
+    )
+    def test_answers_past_the_short_page_are_discarded(self, tmp_path, answer):
+        records = [record(i) for i in range(250)]
+        script = {page_url(offset): [StubResponse(records[offset : offset + 100])] for offset in (0, 100, 200)}
+        script.update({page_url(offset): [answer()] for offset in (300, 400, 500)})
+        session = StubSession(script)
+        sleeps = []
+        with no_thread_left():
+            result = fetch_api(config(cache_dir=str(tmp_path)), session=session, sleep=sleeps.append)
+        assert result.loaded == 250
+        assert_crawled(session.calls, 200)
+        assert sleeps == []
+        assert sorted(tmp_path.iterdir()) == sorted(ingest._cache_path(tmp_path, page_url(o)) for o in (0, 100, 200))
+
+    def test_strict_error_requests_at_most_three_pages_past_it(self, tmp_path):
+        records = [record(i) for i in range(1000)]
+        records[512] = stamped("u", "t", "not a date")
+        session = paged_session(records, 100)
+        with no_thread_left(), pytest.raises(MalformedRowError) as err:
+            fetch_api(config(strict=True, cache_dir=str(tmp_path)), session=session, sleep=lambda s: None)
+        assert (err.value.source, err.value.line_number) == (page_url(500), 12)
+        assert_crawled(session.calls, 500)
+        assert sorted(tmp_path.iterdir()) == sorted(ingest._cache_path(tmp_path, page_url(o)) for o in range(0, 600, 100))
+
+
+    def test_pages_answered_out_of_order_are_read_in_order(self):
+        records = [record(i) for i in range(1000)]
+        session = paged_session(records, 10)
+        scripted = session.get
+
+        def get(url, timeout=30):
+            offset = int(url.rsplit("=", 1)[1])
+            time.sleep((offset * 7 % 50) / 10_000)  # 0 to 4.9 ms, in no order
+            return scripted(url, timeout)
+
+        session.get = get
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with no_thread_left():
+                result = fetch_api(config(page_size=10), session=session, sleep=lambda s: None)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [event.task_id for event in result.events] == [f"t{i}" for i in range(1000)]
+        assert_crawled(session.calls, 1000, limit=10)
+
+
 class PagedHandler(BaseHTTPRequestHandler):
     dataset = [record(i) for i in range(120)]
+    protocol_version = "HTTP/1.1"  # keep-alive, so a client that leaves its connections open leaves sockets
+    timeout = 10  # and a handler thread waits at most this long on one
 
     def do_GET(self):
+        self.server.paths.append(self.path)
+        time.sleep(self.server.delay)
         parsed = urlparse(self.path)
         if parsed.path != "/api/taskrun":
             self.send_error(404)
@@ -490,15 +605,39 @@ class PagedHandler(BaseHTTPRequestHandler):
         pass
 
 
+class PagedServer(ThreadingHTTPServer):
+    daemon_threads = False  # so server_close joins every handler thread
+
+    def __init__(self, delay):
+        super().__init__(("127.0.0.1", 0), PagedHandler)
+        self.delay = delay
+        self.paths = []  # of the requests served, in arrival order
+
+
+@contextmanager
+def serving(delay=0.0):
+    """A ``PagedServer`` on a thread of its own; on exit it is shut down and its threads joined."""
+    server = PagedServer(delay)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+        server.server_close()
+    assert not thread.is_alive()
+
+
 @pytest.fixture
 def live_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), PagedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    thread.join()
-    server.server_close()
+    with serving() as server:
+        yield f"http://127.0.0.1:{server.server_port}"
+
+
+def open_descriptors():
+    """The process's open file descriptors, where ``/proc`` lists them; else 0."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
 
 
 class TestLiveHttp:
@@ -508,3 +647,22 @@ class TestLiveHttp:
         assert result.loaded == 120
         assert result.events[0].volunteer_id == "u0"
         assert {e.project_id for e in result.events} == {"p0", "p1", "p2"}
+
+    def test_windowed_crawl_over_sockets_leaves_no_thread_or_socket(self, tmp_path):
+        dataset = PagedHandler.dataset
+        jsonl = tmp_path / "events.jsonl"
+        jsonl.write_text("".join(json.dumps(r) + "\n" for r in dataset), encoding="utf-8")
+        expected = load_events(IngestConfig(kind="jsonl-file", location=str(jsonl)))
+        pages = len(dataset) // 20 + 1  # the last one empty
+        cache = tmp_path / "cache"
+        threads, descriptors = threading.active_count(), open_descriptors()
+        with serving(delay=0.01) as server:
+            url = f"http://127.0.0.1:{server.server_port}"
+            result = load_events(IngestConfig(kind="api", location=url, page_size=20, cache_dir=str(cache)))
+        gc.collect()  # an unclosed socket would warn here, and ResourceWarning is an error
+        assert (threading.active_count(), open_descriptors()) == (threads, descriptors)
+        assert result.events == expected.events
+        assert sorted(cache.iterdir()) == sorted(
+            ingest._cache_path(cache, f"{url}/api/taskrun?limit=20&offset={20 * page}") for page in range(pages)
+        )
+        assert pages <= len(server.paths) <= pages + ingest._API_WINDOW - 1

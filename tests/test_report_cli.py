@@ -877,9 +877,12 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_importing_the_cli_leaves_requests_unimported(self):
-        # requests serves only an API source, so a start-up without one never pays for it
+        # requests and the API crawl's thread pool serve only an API source, so a start-up without one never pays for them
         package_root = str(Path(crowdmetrics.__file__).resolve().parent.parent)
-        probe = "import sys, crowdmetrics.cli; sys.exit('requests' in sys.modules)"
+        probe = (
+            "import sys, crowdmetrics.cli; "
+            "sys.exit(' '.join(sorted({'requests', 'concurrent.futures'} & set(sys.modules))) or None)"
+        )
         env = dict(os.environ, PYTHONPATH=package_root)
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr or "crowdmetrics.cli imported requests"
