@@ -207,13 +207,72 @@ def _fixed_width_micros(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(valid, micros, 0), valid
 
 
-def _compact(ids: tuple[str, ...], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+def _key_bytes(keys: np.ndarray) -> np.ndarray:
+    """Id keys as ``S`` strings: the bytes of a ``uint64`` key are its id, NUL-padded."""
+    return keys.astype(">u8").view("S8") if keys.dtype.kind == "u" else keys
+
+
+def _decode_ids(keys: np.ndarray) -> tuple[str, ...]:
+    """The UTF-8 ids of id keys (see ``IdKeys``), decoded in one join and split."""
+    keys = np.ascontiguousarray(_key_bytes(keys))
+    matrix = keys.view(np.uint8).reshape(len(keys), keys.dtype.itemsize)
+    lines = np.concatenate([matrix, np.full((len(keys), 1), ord("\n"), dtype=np.uint8)], axis=1)
+    return tuple(lines[lines != 0].tobytes().decode("utf-8").split("\n")[:-1])
+
+
+class IdKeys(Sequence):
+    """A sorted id table held as keys, each id decoded when it is read.
+
+    ``keys`` holds one key per id: its UTF-8 bytes, NUL-padded, as a
+    big-endian ``uint64`` when every id fits in 8 bytes, else as ``S``
+    strings. UTF-8 byte order is ``str`` order, so sorted keys are sorted
+    ids and ``_code``'s bisect finds an id in them. An index decodes one
+    id, a slice or an iteration decodes in one join and split, and ``len``
+    decodes nothing. The table compares equal to any sequence of the same
+    ids, such as a tuple; two such tables compare by their keys.
+    """
+
+    __slots__ = ("keys",)
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = _read_only(keys)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _decode_ids(self.keys[index])
+        key = self.keys[index]
+        if self.keys.dtype.kind == "u":
+            key = int(key).to_bytes(8, "big")
+        return key.rstrip(b"\0").decode("utf-8")
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_decode_ids(self.keys))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, IdKeys):
+            return np.array_equal(_key_bytes(self.keys), _key_bytes(other.keys))
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"IdKeys({len(self)} ids)"
+
+
+def _compact(ids: Sequence[str], codes: np.ndarray) -> tuple[Sequence[str], np.ndarray]:
     """Drop the ids no code uses, keeping the order of the rest."""
     used = np.zeros(len(ids), dtype=bool)
     used[codes] = True
     if used.all():
         return ids, codes
     remap = np.cumsum(used, dtype=np.int32) - 1
+    if isinstance(ids, IdKeys):
+        return IdKeys(ids.keys[used]), remap[codes]
     return tuple(compress(ids, used.tolist())), remap[codes]
 
 
@@ -227,6 +286,10 @@ def _sort_codes(ids: tuple[str, ...], codes: np.ndarray) -> tuple[tuple[str, ...
     return tuple(map(ids.__getitem__, order.tolist())), remap[codes]
 
 
+#: Rows an ``EventTable`` iteration turns into Python ints at a time.
+_ITER_ROWS = 1 << 16
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -238,9 +301,11 @@ class EventTable(Sequence):
     ``volunteer``, ``task`` and ``project`` are int32 codes into the id
     tables ``volunteer_ids``, ``task_ids`` and ``project_ids``; each table
     lists the ids its events use, sorted as Python strings, so comparing
-    codes compares ids. ``timestamp`` holds int64 UTC epoch microseconds.
-    The arrays are read-only. Indexing or iterating builds
-    ``TaskExecutionEvent`` objects on the fly; ``len`` builds none.
+    codes compares ids. A table is a tuple, or an ``IdKeys`` that decodes
+    an id when it is read (the CSV byte path's ``task_ids``). ``timestamp``
+    holds int64 UTC epoch microseconds. The arrays are read-only. Indexing
+    or iterating builds ``TaskExecutionEvent`` objects on the fly; ``len``
+    builds none.
 
     Because the tables are sorted and hold only used ids, two tables hold
     the same events in the same order exactly when their id tables and
@@ -251,9 +316,9 @@ class EventTable(Sequence):
 
     def __init__(
         self,
-        volunteer_ids: tuple[str, ...],
-        task_ids: tuple[str, ...],
-        project_ids: tuple[str, ...],
+        volunteer_ids: Sequence[str],
+        task_ids: Sequence[str],
+        project_ids: Sequence[str],
         volunteer: np.ndarray,
         task: np.ndarray,
         project: np.ndarray,
@@ -331,12 +396,16 @@ class EventTable(Sequence):
         )
 
     def __iter__(self) -> Iterator[TaskExecutionEvent]:
-        volunteer_ids, task_ids, project_ids = self.volunteer_ids, self.task_ids, self.project_ids
+        # a key table decodes once, in bulk, not once per event; the columns
+        # become Python ints a block of rows at a time
+        volunteer_ids, task_ids, project_ids = map(tuple, (self.volunteer_ids, self.task_ids, self.project_ids))
         columns = (self.volunteer, self.task, self.project, self.timestamp)
-        for volunteer, task, project, micros in zip(*(column.tolist() for column in columns)):
-            yield TaskExecutionEvent(
-                volunteer_ids[volunteer], task_ids[task], project_ids[project], from_micros(micros)
-            )
+        for start in range(0, len(self), _ITER_ROWS):
+            block = (column[start : start + _ITER_ROWS].tolist() for column in columns)
+            for volunteer, task, project, micros in zip(*block):
+                yield TaskExecutionEvent(
+                    volunteer_ids[volunteer], task_ids[task], project_ids[project], from_micros(micros)
+                )
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EventTable):
@@ -457,7 +526,7 @@ class ProjectProfile:
         return self.recruited | self.inherited
 
 
-def _code(table: tuple[str, ...], key: str) -> int:
+def _code(table: Sequence[str], key: str) -> int:
     """Position of ``key`` in the sorted id ``table``; KeyError if it is not a str in it."""
     if isinstance(key, str):
         index = bisect_left(table, key)

@@ -49,9 +49,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .events import (
     EventTable,
+    IdKeys,
     InvalidTimestampError,
     TaskExecutionEvent,
     _canonical_micros,
+    _decode_ids,
+    _key_bytes,
     parse_canonical_timestamps,
     parse_timestamp,
     to_micros,
@@ -516,7 +519,9 @@ def _load_csv_bytes(handle, config: IngestConfig, source: str) -> IngestResult:
             blocks.append((table, inverse.astype(np.int32)))
     if columns is None:
         _read_header(csv.reader([]), source)  # raises: an empty file has no header
-    tables, codes = zip(*map(_merge_id_blocks, id_blocks))
+    (volunteer_keys, task_keys, project_keys), codes = zip(*map(_merge_id_blocks, id_blocks))
+    # reports read every volunteer and project id, but a task id only as a dedupe key
+    tables = _decode_ids(volunteer_keys), IdKeys(task_keys), _decode_ids(project_keys)
     events = EventTable(*tables, *codes, np.concatenate(micros_blocks))
     return IngestResult(events, total_records=total, dropped_anonymous=dropped, skipped_malformed=skipped)
 
@@ -538,28 +543,15 @@ def _id_keys(buf: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray
     return matrix.view(f"S{width}").ravel()
 
 
-def _merge_id_blocks(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[tuple[str, ...], np.ndarray]:
-    """One id column's sorted id table and int32 codes from its blocks' ``np.unique`` tables and inverses."""
+def _merge_id_blocks(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One id column's sorted keys and int32 codes from its blocks' ``np.unique`` tables and inverses."""
     tables = [table for table, _ in blocks]
     if any(table.dtype.kind == "S" for table in tables):
         tables = list(map(_key_bytes, tables))
     merged, remap = np.unique(np.concatenate(tables), return_inverse=True)
     offsets = np.cumsum([0] + [len(table) for table in tables[:-1]])
     codes = np.concatenate([remap[offset + inverse] for offset, (_, inverse) in zip(offsets, blocks)])
-    return _decode_ids(merged), codes.astype(np.int32)
-
-
-def _key_bytes(keys: np.ndarray) -> np.ndarray:
-    """``_id_keys`` keys as ``S`` strings: the bytes of a ``uint64`` key are its id, NUL-padded."""
-    return keys.astype(">u8").view("S8") if keys.dtype.kind == "u" else keys
-
-
-def _decode_ids(keys: np.ndarray) -> tuple[str, ...]:
-    """The ids of ``_id_keys`` keys, decoded in one join and split."""
-    keys = _key_bytes(keys)
-    matrix = keys.view(np.uint8).reshape(len(keys), keys.dtype.itemsize)
-    lines = np.concatenate([matrix, np.full((len(keys), 1), ord("\n"), dtype=np.uint8)], axis=1)
-    return tuple(lines[lines != 0].tobytes().decode("ascii").split("\n")[:-1])
+    return merged, codes.astype(np.int32)
 
 
 def _load_csv_rows(config: IngestConfig) -> IngestResult:
