@@ -26,13 +26,14 @@ ignoring a leading byte-order mark.
 
 from __future__ import annotations
 
+import base64
 import codecs
 import csv
+import functools
 import hashlib
 import json
 import logging
 import os
-import threading
 import time
 from array import array
 from collections import defaultdict, deque
@@ -41,8 +42,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import count
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Mapping
-from urllib.parse import urlsplit
+from urllib.parse import quote, unquote, urlsplit
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -79,6 +81,9 @@ BACKOFF_BASE_SECONDS = 0.5
 #: API page requests in flight at once after the first page; the crawl makes at most
 #: ``_API_WINDOW - 1`` requests past its last page.
 _API_WINDOW = 4
+#: What a page URL's path and query keep unescaped, as ``requests`` keeps it: existing escapes
+#: stay, and a space or non-ASCII character is percent-encoded (as UTF-8).
+_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 #: Rows per timestamp block; bounds the raw strings held and the parse's temporaries.
 _PARSE_CHUNK = 1 << 16
@@ -684,7 +689,7 @@ def _attempt(url: str, get: Callable[..., Any]) -> tuple[list, bytes] | Exceptio
         if status >= 400:
             raise NetworkError(f"client error {status} from {url}")
         page = json.loads(response.content)
-    except (OSError, ValueError, RecursionError) as exc:  # requests' errors are OSErrors
+    except (OSError, ValueError, RecursionError) as exc:  # _urlopen's errors are OSErrors
         return exc
     if not isinstance(page, list):
         raise SchemaError(f"{url}: expected a JSON array, got {type(page).__name__}")
@@ -718,11 +723,10 @@ def fetch_api(
     exponential backoff, at most MAX_API_ATTEMPTS attempts per page. With a
     ``cache_dir`` configured every page's response bytes are written to disk
     as served and reused on later runs, so an analysis stays reproducible
-    after the platform goes away. ``session.get(url, timeout=...)``, which
-    may be called from up to 4 threads at once, must return an object with
-    ``.status_code`` and ``.content`` (the body's bytes); the default is one
-    ``requests.Session`` per thread. Every thread this starts is joined, and
-    every session it opens closed, before it returns.
+    after the platform goes away. ``session.get(url, timeout=...)``, called
+    from up to 4 threads at once, returns ``.status_code`` and ``.content``
+    (the body's bytes); the default, ``_urlopen``, opens a connection per
+    request. Every thread this starts is joined before it returns.
 
     Raises:
         NetworkError: a page kept failing.
@@ -733,27 +737,53 @@ def fetch_api(
         raise ValueError(f"fetch_api cannot handle source kind {config.kind!r}")
     from concurrent.futures import ThreadPoolExecutor
 
-    sessions: list[Any] = []
-    if session is not None:
-        get = session.get
-    else:
-        import requests
-
-        local = threading.local()
-
-        def get(url: str, timeout: float) -> Any:
-            if not hasattr(local, "session"):
-                local.session = requests.Session()
-                sessions.append(local.session)
-            return local.session.get(url, timeout=timeout)
-
+    get = _urlopen if session is None else session.get
     pool = ThreadPoolExecutor(_API_WINDOW)
     try:
         return _load_records(_api_pages(config, get, sleep, pool.submit), config.strict)
     finally:
         pool.shutdown(cancel_futures=True)  # after the attempts in flight return
-        for each in sessions:
-            each.close()
+
+
+def _urlopen(url: str, timeout: float) -> SimpleNamespace:
+    """One ``GET`` on its own connection: status and body, a 4xx's or 5xx's too; ``ConnectionError`` if unreadable.
+
+    As ``requests`` did, the path and query are percent-encoded, user info
+    in the URL is sent as Basic auth, and the body may come gzipped.
+    """
+    import gzip  # these import email, ssl and zlib, so only a crawl pays for them
+    import http.client
+    import urllib.request
+    import zlib
+
+    parts = urlsplit(url)
+    userinfo, _, host = parts.netloc.rpartition("@")
+    target = parts._replace(netloc=host, path=quote(parts.path, _URL_SAFE), query=quote(parts.query, _URL_SAFE))
+    request = urllib.request.Request(target.geturl(), headers={"Accept-Encoding": "gzip"})
+    if userinfo:  # unredirected: a redirect's target is not sent the credentials
+        pair = f"{unquote(parts.username or '')}:{unquote(parts.password or '')}".encode("utf-8")
+        request.add_unredirected_header("Authorization", "Basic " + base64.b64encode(pair).decode("ascii"))
+    open_url = _https_opener().open if parts.scheme == "https" else urllib.request.urlopen
+    try:
+        try:
+            response = open_url(request, timeout=timeout)
+        except urllib.request.HTTPError as error:  # a 4xx or 5xx, read like any other answer
+            response = error
+        with response:
+            body = response.read()
+        gzipped = response.headers.get("Content-Encoding") == "gzip"
+        return SimpleNamespace(status_code=response.status, content=gzip.decompress(body) if gzipped else body)
+    except (http.client.HTTPException, EOFError, zlib.error) as exc:  # cut short, bad status line, bad gzip
+        raise ConnectionError(f"{url}: {exc!r}") from exc
+
+
+@functools.cache
+def _https_opener() -> Any:
+    """The opener for every HTTPS request, with one TLS context: the CA store is read once, not per connection."""
+    import ssl
+    import urllib.request
+
+    return urllib.request.build_opener(urllib.request.HTTPSHandler(context=ssl.create_default_context()))
 
 
 def _api_pages(

@@ -877,15 +877,13 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_importing_the_cli_leaves_requests_unimported(self):
-        # requests and the API crawl's thread pool serve only an API source, so a start-up without one never pays for them
+        # the API crawl's HTTP client and thread pool serve only an API source; a start-up without one never pays for them
         package_root = str(Path(crowdmetrics.__file__).resolve().parent.parent)
-        probe = (
-            "import sys, crowdmetrics.cli; "
-            "sys.exit(' '.join(sorted({'requests', 'concurrent.futures'} & set(sys.modules))) or None)"
-        )
+        crawl_only = "{'requests', 'concurrent.futures', 'urllib.request', 'http.client'}"
+        probe = f"import sys, crowdmetrics.cli; sys.exit(' '.join(sorted({crawl_only} & set(sys.modules))) or None)"
         env = dict(os.environ, PYTHONPATH=package_root)
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr or "crowdmetrics.cli imported requests"
+        assert proc.returncode == 0, proc.stderr or "crowdmetrics.cli imported a crawl-only module"
 
     def test_unexpected_value_error_is_not_a_data_fault(self, event_csv, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
