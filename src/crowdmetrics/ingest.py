@@ -12,9 +12,11 @@ A CSV file in the common dialect (ASCII, records as wide as the header, the
 header and the id and timestamp fields unquoted, other fields quoted or not)
 is read by a byte path that masks the commas and newlines inside quoted
 cells, indexes each block's remaining newlines and commas and slices its
-fields in bulk; any other CSV, and every JSONL and API source, is read record
-by record: each source yields its records' fields to one loop that codes ids
-and parses timestamps in bounded blocks. Both CSV paths give equal results.
+fields in bulk. It reads blocks on up to 2 threads, with at most 4 blocks
+held, and takes their results in file order. Any other CSV, and every JSONL
+and API source, is read record by record: each source yields its records'
+fields to one loop that codes ids and parses timestamps in bounded blocks.
+Both CSV paths give equal results.
 
 Records without a volunteer identifier are anonymous contributions: the
 metrics need a stable identity to link events, so those records are dropped
@@ -40,7 +42,7 @@ from collections import defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import count
+from itertools import chain, count
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -159,12 +161,20 @@ def _api_url(url: str) -> str:
     """Return ``url`` if it is an http(s) URL with a host; no retry could fetch any other."""
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ValueError(f"API URL must be http:// or https:// with a host, got {url!r}")
+        raise ValueError(f"API URL must be http:// or https:// with a host, got {_shown(url)!r}")
     try:
         parts.port  # raises for a port out of range or not a number
     except ValueError:
-        raise ValueError(f"API URL port must be a number in 0..65535, got {url!r}") from None
+        raise ValueError(f"API URL port must be a number in 0..65535, got {_shown(url)!r}") from None
     return url
+
+
+def _shown(url: str) -> str:
+    """``url`` as logs and messages show it: any user info, which may hold a password, is ``***``."""
+    parts = urlsplit(url)
+    if "@" not in parts.netloc:
+        return url
+    return parts._replace(netloc="***@" + parts.netloc.rpartition("@")[2]).geturl()
 
 
 @dataclass
@@ -363,18 +373,13 @@ def _load_csv(config: IngestConfig) -> IngestResult:
     return _load_csv_rows(config)
 
 
-def _csv_blocks(handle) -> Iterator[np.ndarray]:
-    """A CSV file's bytes after any byte-order mark, as uint8 blocks of whole records.
+def _csv_blocks(handle) -> Iterator[bytes]:
+    """A CSV file's bytes after any byte-order mark, in blocks of whole records.
 
     A block is cut after its last newline outside quotes, so each block
-    starts outside quotes and no state passes between blocks; a final
-    record that lacks a newline gets one. Each block is followed by
-    ``_MAX_ID_BYTES`` NULs, so a fixed-width gather may read past the last
-    field. A block that holds a ``"`` is a copy whose quoted commas and
-    newlines are masked (see ``_mask_quoted``); any other block is a
-    read-only view of the bytes read. Raises ``_Decline`` for a record over
-    ``_BLOCK_BYTES``, and for a byte or quote that ``csv.reader`` or the
-    text decoder treats in its own way.
+    starts outside quotes and no state passes between blocks. Raises
+    ``_Decline`` for a record over ``_BLOCK_BYTES``, a NUL byte and a
+    non-ASCII byte; ``_records`` checks the rest.
     """
     pending = handle.read(len(codecs.BOM_UTF8))
     if pending == codecs.BOM_UTF8:
@@ -383,8 +388,7 @@ def _csv_blocks(handle) -> Iterator[np.ndarray]:
         chunk = handle.read(_BLOCK_BYTES)
         pending += chunk
         data = pending[: pending.rfind(b"\n") + 1 if chunk else len(pending)]  # the end of the file ends a record
-        quoted = b'"' in data
-        if quoted and chunk and data.count(b'"') % 2:  # its last newline is quoted: cut at the last one outside
+        if chunk and data.count(b'"') % 2:  # its last newline is quoted: cut at the last one outside
             chars = np.frombuffer(data, dtype=np.uint8)
             newlines = np.flatnonzero(chars == ord("\n"))
             outside = newlines[np.searchsorted(np.flatnonzero(chars == ord('"')), newlines) % 2 == 0]
@@ -400,14 +404,33 @@ def _csv_blocks(handle) -> Iterator[np.ndarray]:
             raise _Decline("a NUL byte")
         if not data.isascii():
             raise _Decline("a non-ASCII byte")
-        ending = b"" if data.endswith(b"\n") else b"\n"
-        padded = data + ending + bytes(_MAX_ID_BYTES)
-        buf = _mask_quoted(padded) if quoted else np.frombuffer(padded, dtype=np.uint8)
-        if b"\r" in data:  # each CR outside quotes must start a CRLF
-            after = np.flatnonzero(buf[: len(data)] == ord("\r")) + 1
-            if data.endswith(b"\r") or (buf[after] != ord("\n")).any():
-                raise _Decline("a CR not followed by LF")
-        yield buf
+        yield data
+
+
+def _records(block: bytes, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block as uint8 with its quoted commas and newlines masked, and each line's start and end offsets.
+
+    A final record that lacks a newline gets one, and the bytes are
+    followed by ``_MAX_ID_BYTES`` NULs, so a fixed-width gather may read
+    past the last field. A block that holds a ``"`` is a masked copy (see
+    ``_mask_quoted``); any other block is a read-only view. Raises
+    ``_Decline`` for a quote or CR that ``csv.reader`` reads in its own
+    way, and for a record over ``limit``, the field size limit.
+    """
+    padded = block + (b"" if block.endswith(b"\n") else b"\n") + bytes(_MAX_ID_BYTES)
+    buf = _mask_quoted(padded) if b'"' in block else np.frombuffer(padded, dtype=np.uint8)
+    if b"\r" in block:  # each CR outside quotes must start a CRLF
+        after = np.flatnonzero(buf[: len(block)] == ord("\r")) + 1
+        if block.endswith(b"\r") or (buf[after] != ord("\n")).any():
+            raise _Decline("a CR not followed by LF")
+    newlines = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], newlines[:-1] + 1))
+    # a CRLF record ends before its CR; every unmasked CR precedes a newline,
+    # and a record starting the block reads the padding NUL at buf[-1]
+    ends = newlines - (buf[newlines - 1] == ord("\r"))
+    if (ends - starts).max() > limit:  # it may hold a field over the limit
+        raise _Decline("a record over the field size limit")
+    return buf, starts, ends
 
 
 def _mask_quoted(padded: bytes) -> np.ndarray:
@@ -444,91 +467,147 @@ def _mask_quoted(padded: bytes) -> np.ndarray:
 def _load_csv_bytes(handle, config: IngestConfig, source: str) -> IngestResult:
     """The byte path of ``_load_csv``: index each block's newlines and commas, then slice fields in bulk.
 
+    The header is read from the first block; then ``_read_block`` reads
+    blocks on up to 2 threads, with at most 4 blocks read and not yet taken,
+    and takes their results in file order, so the first ``_Decline`` in file
+    order is the one raised. Every thread it starts is joined before it
+    returns or raises.
+
     A field that starts with a quote is a quoted cell: its commas and
     newlines are masked, so it counts as one field, and only the fields the
     events do not use may be quoted. Raises ``_Decline`` wherever its result
     could differ from the ``csv.reader`` loop's: a special byte or misplaced
-    quote (see ``_csv_blocks``), a quote in the header, a record over the
-    field size limit, a record whose comma count differs from the header's,
-    a kept record's id that is empty, quoted, padded with whitespace or over
-    ``_MAX_ID_BYTES``, a kept record's quoted timestamp, or, in strict mode,
-    a timestamp that does not parse. So it reads only files with no
-    malformed record but for, in lenient mode, unparseable timestamps. An
-    empty volunteer id is an anonymous record, whatever its other fields
-    hold.
+    quote (see ``_csv_blocks`` and ``_records``), a quote in the header, a
+    record over the field size limit, a record whose comma count differs
+    from the header's, a kept record's id that is empty, quoted, padded with
+    whitespace or over ``_MAX_ID_BYTES``, a kept record's quoted timestamp,
+    or, in strict mode, a timestamp that does not parse. So it reads only
+    files with no malformed record but for, in lenient mode, unparseable
+    timestamps. An empty volunteer id is an anonymous record, whatever its
+    other fields hold.
     """
-    limit = csv.field_size_limit()
-    id_fields = CANONICAL_FIELDS[:3]
-    id_blocks: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in id_fields]
-    micros_blocks = []
-    total = dropped = skipped = 0
-    columns: dict[str, int] | None = None
-    for buf in _csv_blocks(handle):
-        newlines = np.flatnonzero(buf == ord("\n"))
-        starts = np.concatenate(([0], newlines[:-1] + 1))
-        # a CRLF record ends before its CR; every unmasked CR precedes a newline,
-        # and a record starting the block reads the padding NUL at buf[-1]
-        ends = newlines - (buf[newlines - 1] == ord("\r"))
-        if (ends - starts).max() > limit:  # it may hold a field over the limit
-            raise _Decline("a record over the field size limit")
-        if columns is None:  # the first record is the header
-            header = buf[: ends[0]].tobytes().decode("ascii")
-            if '"' in header:  # its masked names are not the names csv.reader reads
-                raise _Decline("a quote in the header")
-            columns = _resolve_csv_columns(_read_header(csv.reader([header]), source), config.field_map, source)
-            separators = header.count(",")
-            starts, ends = starts[1:], ends[1:]
-        records = ends > starts  # a blank line is not a record
-        starts, ends = starts[records], ends[records]
-        commas = np.flatnonzero(buf == ord(","))
-        before = np.searchsorted(commas, starts)
-        if (np.searchsorted(commas, ends) - before != separators).any():
-            raise _Decline("a row whose comma count differs from the header's")
+    from concurrent.futures import ThreadPoolExecutor
 
-        def field(name: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            column = columns[name]
-            first = starts[rows] if column == 0 else commas[before[rows] + column - 1] + 1
-            last = ends[rows] if column == separators else commas[before[rows] + column]
-            return first, last
-
-        first, last = field("volunteer_id", slice(None))
-        named = np.flatnonzero(last > first)
-        total += len(starts)
-        dropped += len(starts) - len(named)
-        ids = [field(name, named) for name in id_fields]
-        for first, last in ids:
-            if (last == first).any():
-                raise _Decline("an empty id")
-            if (_ID_EDGE_BANNED[buf[first]] | _ID_EDGE_BANNED[buf[last - 1]]).any():
-                if (buf[first] == ord('"')).any():
-                    raise _Decline("a quoted id or timestamp")
-                raise _Decline("an id with leading or trailing whitespace")
-            if (last - first).max(initial=0) > _MAX_ID_BYTES:
-                raise _Decline(f"an id over {_MAX_ID_BYTES} bytes")
-
-        stamp_first, stamp_last = field("timestamp", named)
-        micros, parsed = _canonical_micros(buf, stamp_first, stamp_last - stamp_first)
-
-        def stamp(index: int) -> str:
-            return buf[stamp_first[index] : stamp_last[index]].tobytes().decode("ascii")
-
-        for index, _ in _parse_rest(micros, parsed, stamp):
-            if buf[stamp_first[index]] == ord('"'):  # no quoted value parses, but unquoted it may
-                raise _Decline("a quoted id or timestamp")
-            if config.strict:
-                raise _Decline("a timestamp that strict mode raises for")
-            skipped += 1
-        micros_blocks.append(micros[parsed])
-        for blocks, (first, last) in zip(id_blocks, ids):
-            table, inverse = np.unique(_id_keys(buf, first[parsed], last[parsed]), return_inverse=True)
-            blocks.append((table, inverse.astype(np.int32)))
-    if columns is None:
-        _read_header(csv.reader([]), source)  # raises: an empty file has no header
-    (volunteer_keys, task_keys, project_keys), codes = zip(*map(_merge_id_blocks, id_blocks))
+    layout, blocks = _csv_layout(_csv_blocks(handle), config.field_map, source)
+    # the CPUs this process may run on; macOS and Windows have no os.sched_getaffinity
+    workers = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    pool = ThreadPoolExecutor(workers)
+    queued: deque[Any] = deque()  # the futures of the blocks submitted and not yet taken, in file order
+    results = []
+    try:
+        while True:
+            if len(queued) == 2 * workers:
+                results.append(_taken(queued.popleft().result()))
+            try:
+                block = next(blocks, None)
+            except _Decline:  # a block before the one that declined may decline first
+                while queued:
+                    queued.popleft().result()
+                raise
+            if block is None:
+                break
+            queued.append(pool.submit(_read_block, block, layout, config.strict))
+        while queued:
+            results.append(_taken(queued.popleft().result()))
+    finally:
+        queued.clear()  # so a held decline's traceback holds no later block's arrays
+        pool.shutdown(cancel_futures=True)
+    total, dropped, skipped, micros, ids = zip(*results)
+    (volunteer_keys, task_keys, project_keys), codes = zip(*map(_merge_id_blocks, zip(*ids)))
     # reports read every volunteer and project id, but a task id only as a dedupe key
     tables = _decode_ids(volunteer_keys), IdKeys(task_keys), _decode_ids(project_keys)
-    events = EventTable(*tables, *codes, np.concatenate(micros_blocks))
-    return IngestResult(events, total_records=total, dropped_anonymous=dropped, skipped_malformed=skipped)
+    events = EventTable(*tables, *codes, np.concatenate(micros))
+    return IngestResult(
+        events, total_records=sum(total), dropped_anonymous=sum(dropped), skipped_malformed=sum(skipped)
+    )
+
+
+def _taken(result: tuple) -> tuple:
+    """A ``_read_block`` result with its arrays copied by the calling thread.
+
+    glibc serves each thread from a malloc arena of its own, and seldom
+    returns a worker's arena to the system or lets the main thread reuse
+    it. Results held there until the load ends would grow each worker's
+    arena by its share of them (some 20 MB on the 1.25M-event fixture);
+    copied, the arena holds only the temporaries of the block it reads.
+    """
+    records, anonymous, skipped, micros, ids = result
+    return records, anonymous, skipped, micros.copy(), [(table.copy(), inverse.copy()) for table, inverse in ids]
+
+
+def _csv_layout(
+    blocks: Iterator[bytes], field_map: Mapping[str, str], source: str
+) -> tuple[tuple[dict[str, int], int, int], Iterator[bytes]]:
+    """The layout (column positions, comma count, field size limit) from the header, and the blocks after it.
+
+    The whole first block passes ``_records``' checks before its header is
+    read, so a fault they find anywhere in it declines before the header's.
+    """
+    limit = csv.field_size_limit()
+    first = next(blocks, None)
+    if first is None:
+        _read_header(csv.reader([]), source)  # raises: an empty file has no header
+    buf, starts, ends = _records(first, limit)
+    header = buf[: ends[0]].tobytes().decode("ascii")
+    if '"' in header:  # its masked names are not the names csv.reader reads
+        raise _Decline("a quote in the header")
+    columns = _resolve_csv_columns(_read_header(csv.reader([header]), source), field_map, source)
+    # the rest of the first block is a block too, if only of padding, so every file has one
+    return (columns, header.count(","), limit), chain([first[starts[1] :] if len(starts) > 1 else b""], blocks)
+
+
+def _read_block(
+    block: bytes, layout: tuple[dict[str, int], int, int], strict: bool
+) -> tuple[int, int, int, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """One block's ``(records, anonymous, skipped, micros, ids)``, or ``_Decline``; it shares no state.
+
+    ``micros`` holds the kept records' instants, and ``ids`` each id
+    column's ``np.unique`` keys (see ``_id_keys``) and int32 inverse.
+    """
+    columns, separators, limit = layout
+    buf, starts, ends = _records(block, limit)
+    records = ends > starts  # a blank line is not a record
+    starts, ends = starts[records], ends[records]
+    commas = np.flatnonzero(buf == ord(","))
+    before = np.searchsorted(commas, starts)
+    if (np.searchsorted(commas, ends) - before != separators).any():
+        raise _Decline("a row whose comma count differs from the header's")
+
+    def field(name: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        column = columns[name]
+        first = starts[rows] if column == 0 else commas[before[rows] + column - 1] + 1
+        last = ends[rows] if column == separators else commas[before[rows] + column]
+        return first, last
+
+    first, last = field("volunteer_id", slice(None))
+    named = np.flatnonzero(last > first)
+    ids = [field(name, named) for name in CANONICAL_FIELDS[:3]]
+    for first, last in ids:
+        if (last == first).any():
+            raise _Decline("an empty id")
+        if (_ID_EDGE_BANNED[buf[first]] | _ID_EDGE_BANNED[buf[last - 1]]).any():
+            if (buf[first] == ord('"')).any():
+                raise _Decline("a quoted id or timestamp")
+            raise _Decline("an id with leading or trailing whitespace")
+        if (last - first).max(initial=0) > _MAX_ID_BYTES:
+            raise _Decline(f"an id over {_MAX_ID_BYTES} bytes")
+
+    stamp_first, stamp_last = field("timestamp", named)
+    micros, parsed = _canonical_micros(buf, stamp_first, stamp_last - stamp_first)
+
+    def stamp(index: int) -> str:
+        return buf[stamp_first[index] : stamp_last[index]].tobytes().decode("ascii")
+
+    skipped = 0
+    for index, _ in _parse_rest(micros, parsed, stamp):
+        if buf[stamp_first[index]] == ord('"'):  # no quoted value parses, but unquoted it may
+            raise _Decline("a quoted id or timestamp")
+        if strict:
+            raise _Decline("a timestamp that strict mode raises for")
+        skipped += 1
+    keys = [np.unique(_id_keys(buf, first[parsed], last[parsed]), return_inverse=True) for first, last in ids]
+    codes = [(table, inverse.astype(np.int32)) for table, inverse in keys]
+    return len(starts), len(starts) - len(named), skipped, micros[parsed], codes
 
 
 def _id_keys(buf: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -548,7 +627,7 @@ def _id_keys(buf: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray
     return matrix.view(f"S{width}").ravel()
 
 
-def _merge_id_blocks(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+def _merge_id_blocks(blocks: tuple[tuple[np.ndarray, np.ndarray], ...]) -> tuple[np.ndarray, np.ndarray]:
     """One id column's sorted keys and int32 codes from its blocks' ``np.unique`` tables and inverses."""
     tables = [table for table, _ in blocks]
     if any(table.dtype.kind == "S" for table in tables):
@@ -670,7 +749,7 @@ def _cached_page(cache_dir: Path | None, url: str) -> list | None:
     except FileNotFoundError:
         pass
     except (ValueError, RecursionError) as exc:  # undecodable, nested too deep, or not an array
-        logger.warning("ignoring unreadable cache file %s for %s (%s); fetching again", cached, url, exc)
+        logger.warning("ignoring unreadable cache file %s for %s (%s); fetching again", cached, _shown(url), exc)
     return None
 
 
@@ -685,14 +764,14 @@ def _attempt(url: str, get: Callable[..., Any]) -> tuple[list, bytes] | Exceptio
         response = get(url, timeout=30)
         status = response.status_code
         if status >= 500 or status == 429:
-            return NetworkError(f"HTTP {status} from {url}")
+            return NetworkError(f"HTTP {status} from {_shown(url)}")
         if status >= 400:
-            raise NetworkError(f"client error {status} from {url}")
+            raise NetworkError(f"client error {status} from {_shown(url)}")
         page = json.loads(response.content)
     except (OSError, ValueError, RecursionError) as exc:  # _urlopen's errors are OSErrors
         return exc
     if not isinstance(page, list):
-        raise SchemaError(f"{url}: expected a JSON array, got {type(page).__name__}")
+        raise SchemaError(f"{_shown(url)}: expected a JSON array, got {type(page).__name__}")
     return page, response.content
 
 
@@ -701,10 +780,10 @@ def _retried(url: str, get: Callable[..., Any], sleep: Callable[[float], None], 
     attempts = 1
     while isinstance(outcome, Exception):
         if attempts == MAX_API_ATTEMPTS:
-            raise NetworkError(f"giving up on {url} after {MAX_API_ATTEMPTS} attempts") from outcome
+            raise NetworkError(f"giving up on {_shown(url)} after {MAX_API_ATTEMPTS} attempts") from outcome
         delay = BACKOFF_BASE_SECONDS * 2 ** (attempts - 1)
         attempts += 1
-        logger.warning("retrying %s (attempt %d/%d) after %.1fs", url, attempts, MAX_API_ATTEMPTS, delay)
+        logger.warning("retrying %s (attempt %d/%d) after %.1fs", _shown(url), attempts, MAX_API_ATTEMPTS, delay)
         sleep(delay)
         outcome = _attempt(url, get)
     return outcome
@@ -774,7 +853,7 @@ def _urlopen(url: str, timeout: float) -> SimpleNamespace:
         gzipped = response.headers.get("Content-Encoding") == "gzip"
         return SimpleNamespace(status_code=response.status, content=gzip.decompress(body) if gzipped else body)
     except (http.client.HTTPException, EOFError, zlib.error) as exc:  # cut short, bad status line, bad gzip
-        raise ConnectionError(f"{url}: {exc!r}") from exc
+        raise ConnectionError(f"{_shown(url)}: {exc!r}") from exc
 
 
 @functools.cache

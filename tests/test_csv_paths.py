@@ -13,6 +13,9 @@ answers, it must give what the ``csv.reader`` loop gives: equal
 """
 
 import logging
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
@@ -181,6 +184,33 @@ def test_quoted_cells_never_cut_inside_quotes(tmp_path):
                     byte_path(config)
 
 
+def test_one_worker_reads_what_two_do_and_no_thread_is_left(tmp_path, monkeypatch):
+    """Blocks are read on a pool of ``min(2, CPUs)`` threads; the result does not depend on how many."""
+    path = tmp_path / "events.csv"
+    rows = [f"u{i % 5},t{i},p{i % 3},2014-01-{i % 28 + 1:02d}T10:00:00Z" for i in range(60)]
+    path.write_text("\n".join([HEADER, *rows, ",t0,p0,2014-01-01T10:00:00Z", "u1,t1,p1,yesterday"]), encoding="utf-8")
+    declining = tmp_path / "dirty.csv"
+    declining.write_text("\n".join([HEADER, *rows, "u1,,p1,2014-01-01T10:00:00Z"]), encoding="utf-8")
+    results = {}
+    for cpus in ({0}, {0, 1}):
+        threads = threading.active_count()
+        affinity = mock.patch.object(os, "sched_getaffinity", return_value=cpus)
+        with mock.patch.object(ingest, "_BLOCK_BYTES", 64), affinity, \
+                mock.patch("concurrent.futures.ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pool:
+            results[len(cpus)] = outcome(byte_path, path, strict=False)
+            assert threading.active_count() == threads
+            assert load_file(IngestConfig(kind="csv-file", location=str(declining))).total_records == 61
+            assert threading.active_count() == threads
+        assert [call.args for call in pool.call_args_list] == [(len(cpus),)] * 2
+    assert results[1] == results[2]
+    assert results[1][2:] == (62, 1, 1)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS: the CPU count stands in
+    with mock.patch.object(ingest, "_BLOCK_BYTES", 64), mock.patch.object(os, "cpu_count", return_value=3), \
+            mock.patch("concurrent.futures.ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pool:
+        assert outcome(byte_path, path, strict=False) == results[2]
+    assert pool.call_args.args == (2,)
+
+
 def test_written_microseconds_load_back_in_bulk(tmp_path):
     """``write_events_csv``'s ``.ffffffZ`` instants are read by the kernel, never one at a time."""
     path = tmp_path / "events.csv"
@@ -250,6 +280,36 @@ class TestWhichPathRan:
         path = tmp_path / "dirty.csv"
         path.write_text("\n".join([HEADER, ROWS[0], row, ""]), encoding="utf-8", newline="")
         assert self.path_taken(caplog, path) == f"read by csv.reader: {reason}"
+
+    @pytest.mark.parametrize(
+        "second, fourth, reason",
+        [("u1,,p1", "u\x001,t1,p1", "an empty id"), ("u\x001,t1,p1", "u1,,p1", "a NUL byte")],
+        ids=["empty-id-first", "nul-first"],
+    )
+    def test_the_first_decline_in_file_order_is_logged(self, tmp_path, caplog, second, fourth, reason):
+        """A decline in a block's body (an empty id) and one met while cutting blocks (a NUL) keep file order."""
+        path = tmp_path / "dirty.csv"
+
+        def line(ids):  # 31 bytes and a newline: two records to each 64-byte block
+            return f"{ids},2014-01-01T10:00:00Z,".ljust(31, "x")
+
+        header = (HEADER + ",info").ljust(63, "o")  # the first block holds the header alone
+        rows = [line("u1,t1,p1")] * 8
+        with mock.patch.object(ingest, "_BLOCK_BYTES", 64):
+            path.write_text("\n".join([header, *rows, ""]), encoding="utf-8", newline="")
+            with path.open("rb") as handle:
+                assert [len(block) for block in ingest._csv_blocks(handle)] == [64] * 5
+            rows[0], rows[4] = line(second), line(fourth)  # into blocks 2 and 4
+            path.write_text("\n".join([header, *rows, ""]), encoding="utf-8", newline="")
+            assert self.path_taken(caplog, path) == f"read by csv.reader: {reason}"
+
+    def test_a_header_over_the_field_size_limit_declines(self, tmp_path, caplog):
+        """The first block's records are measured before its header is read, so ``csv.reader`` reports the header."""
+        path = tmp_path / "dirty.csv"
+        path.write_text("\n".join([HEADER + "," + "h" * 140_000, ROWS[0] + ",x", ""]), encoding="utf-8")
+        with caplog.at_level(logging.DEBUG, logger="crowdmetrics.ingest"), pytest.raises(SchemaError, match="header"):
+            load_file(IngestConfig(kind="csv-file", location=str(path)))
+        assert caplog.messages == [f"{path}: read by csv.reader: a record over the field size limit"]
 
     def test_a_quote_in_the_header_declines(self, tmp_path, caplog):
         path = tmp_path / "dirty.csv"

@@ -877,7 +877,7 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_importing_the_cli_leaves_requests_unimported(self):
-        # the API crawl's HTTP client and thread pool serve only an API source; a start-up without one never pays for them
+        # the API crawl's HTTP client serves only an API source, and the thread pool only a load; a start-up pays for neither
         package_root = str(Path(crowdmetrics.__file__).resolve().parent.parent)
         crawl_only = "{'requests', 'concurrent.futures', 'urllib.request', 'http.client'}"
         probe = f"import sys, crowdmetrics.cli; sys.exit(' '.join(sorted({crawl_only} & set(sys.modules))) or None)"
