@@ -36,6 +36,7 @@ import hashlib
 import json
 import logging
 import os
+import threading
 import time
 from array import array
 from collections import defaultdict, deque
@@ -80,6 +81,8 @@ CSV_HEADER = list(CANONICAL_FIELDS)
 
 MAX_API_ATTEMPTS = 5
 BACKOFF_BASE_SECONDS = 0.5
+#: The longest wait before a retry that a 429's or 503's ``Retry-After`` may ask for; a longer one ends the crawl.
+MAX_RETRY_AFTER_SECONDS = 15 * 60
 #: API page requests in flight at once after the first page; the crawl makes at most
 #: ``_API_WINDOW - 1`` requests past its last page.
 _API_WINDOW = 4
@@ -757,14 +760,19 @@ def _attempt(url: str, get: Callable[..., Any]) -> tuple[list, bytes] | Exceptio
     """One request for a page: its records and body, or the error another attempt may clear.
 
     A connection error, a body that does not decode, a 5xx and a 429 (rate
-    limited) are returned; any other 4xx raises ``NetworkError``, and a body
-    that decodes to anything but an array raises ``SchemaError``.
+    limited) are returned, a 429's or 503's with the seconds its
+    ``Retry-After`` asks for as ``retry_after``; any other 4xx raises
+    ``NetworkError``, and a body that decodes to anything but an array
+    raises ``SchemaError``.
     """
     try:
         response = get(url, timeout=30)
         status = response.status_code
         if status >= 500 or status == 429:
-            return NetworkError(f"HTTP {status} from {_shown(url)}")
+            error = NetworkError(f"HTTP {status} from {_shown(url)}")
+            if status in (429, 503):
+                error.retry_after = _retry_after(response.headers.get("Retry-After"))
+            return error
         if status >= 400:
             raise NetworkError(f"client error {status} from {_shown(url)}")
         page = json.loads(response.content)
@@ -776,17 +784,45 @@ def _attempt(url: str, get: Callable[..., Any]) -> tuple[list, bytes] | Exceptio
 
 
 def _retried(url: str, get: Callable[..., Any], sleep: Callable[[float], None], outcome: Any) -> tuple[list, bytes]:
-    """``outcome``, a page's first ``_attempt``, or else the first retry after backoff to succeed."""
+    """``outcome``, a page's first ``_attempt``, or else the first retry after backoff to succeed.
+
+    A retry waits the backoff, or longer if the answer's ``Retry-After``
+    asks for it; a wait asked for over ``MAX_RETRY_AFTER_SECONDS`` raises
+    ``NetworkError``.
+    """
     attempts = 1
     while isinstance(outcome, Exception):
         if attempts == MAX_API_ATTEMPTS:
             raise NetworkError(f"giving up on {_shown(url)} after {MAX_API_ATTEMPTS} attempts") from outcome
-        delay = BACKOFF_BASE_SECONDS * 2 ** (attempts - 1)
+        asked = getattr(outcome, "retry_after", 0.0)
+        if asked > MAX_RETRY_AFTER_SECONDS:
+            limit = f"over the {MAX_RETRY_AFTER_SECONDS}s limit"
+            raise NetworkError(f"{_shown(url)} asks for a wait of {asked:.0f}s before a retry, {limit}") from outcome
+        delay = max(BACKOFF_BASE_SECONDS * 2 ** (attempts - 1), asked)
         attempts += 1
         logger.warning("retrying %s (attempt %d/%d) after %.1fs", _shown(url), attempts, MAX_API_ATTEMPTS, delay)
         sleep(delay)
         outcome = _attempt(url, get)
     return outcome
+
+
+def _retry_after(value: str | None) -> float:
+    """The seconds a ``Retry-After`` value asks to wait (RFC 9110 §10.2.3: delay-seconds or an HTTP-date).
+
+    0 for no value, and for one that does not parse or lies in the past.
+    """
+    import email.utils
+
+    value = (value or "").strip()
+    if value.isascii() and value.isdigit():
+        return float(value)
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return 0.0
+    if when.tzinfo is None:  # a "-0000" zone: UTC, from a source that does not say so
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
 
 
 def fetch_api(
@@ -803,12 +839,16 @@ def fetch_api(
     ``cache_dir`` configured every page's response bytes are written to disk
     as served and reused on later runs, so an analysis stays reproducible
     after the platform goes away. ``session.get(url, timeout=...)``, called
-    from up to 4 threads at once, returns ``.status_code`` and ``.content``
-    (the body's bytes); the default, ``_urlopen``, opens a connection per
-    request. Every thread this starts is joined before it returns.
+    from up to 4 threads at once, returns ``.status_code``, ``.content``
+    (the body's bytes) and ``.headers``. Without a session each attempt
+    calls ``_urlopen``, looked up when it is called: each worker thread
+    keeps one connection to the host open for the crawl, unless a proxy
+    serves the URL, and a retry, sent from the calling thread after its
+    wait, goes over a connection of its own. Every thread this starts is
+    joined, and every connection it opens is closed, before it returns.
 
     Raises:
-        NetworkError: a page kept failing.
+        NetworkError: a page kept failing, or asked for too long a wait.
         SchemaError: a page is not a JSON array of records.
         MalformedRowError: a bad record, when ``config.strict`` is set.
     """
@@ -816,22 +856,45 @@ def fetch_api(
         raise ValueError(f"fetch_api cannot handle source kind {config.kind!r}")
     from concurrent.futures import ThreadPoolExecutor
 
-    get = _urlopen if session is None else session.get
+    kept: dict[tuple, Any] = {}  # {(thread, scheme, host): connection} of the worker threads
+    if session is not None:
+        get = retry = session.get
+    else:
+        import urllib.request
+
+        parts = urlsplit(config.location)  # every page shares its scheme and host
+        proxies = urllib.request.getproxies()  # read once a crawl, for its opener and its choice of route
+        # only an HTTPS crawl reads the CA store (1.7 MB and some 20 ms)
+        tls = [urllib.request.HTTPSHandler(context=_tls_context())] if parts.scheme == "https" else []
+        opener = urllib.request.build_opener(urllib.request.ProxyHandler(proxies), *tls)
+        proxied = parts.scheme in proxies and not urllib.request.proxy_bypass(parts.netloc.rpartition("@")[2])
+        get = lambda url, timeout: _urlopen(url, timeout, opener, None if proxied else kept)  # noqa: E731
+        # a retry follows a wait that a kept connection may not outlast, so it goes over one of its own
+        retry = lambda url, timeout: _urlopen(url, timeout, opener, None)  # noqa: E731
     pool = ThreadPoolExecutor(_API_WINDOW)
     try:
-        return _load_records(_api_pages(config, get, sleep, pool.submit), config.strict)
+        first = lambda url: pool.submit(_attempt, url, get)  # noqa: E731
+        return _load_records(_api_pages(config, first, retry, sleep), config.strict)
     finally:
         pool.shutdown(cancel_futures=True)  # after the attempts in flight return
+        for connection in kept.values():
+            connection.close()
 
 
-def _urlopen(url: str, timeout: float) -> SimpleNamespace:
-    """One ``GET`` on its own connection: status and body, a 4xx's or 5xx's too; ``ConnectionError`` if unreadable.
+def _urlopen(url: str, timeout: float, opener: Any, kept: dict[tuple, Any] | None) -> SimpleNamespace:
+    """One ``GET``: status, headers and body, a 4xx's or 5xx's too; ``ConnectionError`` if unreadable.
 
-    As ``requests`` did, the path and query are percent-encoded, user info
-    in the URL is sent as Basic auth, and the body may come gzipped.
+    With ``kept``, a crawl's ``{(thread, scheme, host): connection}``, the
+    request goes over the calling thread's connection to the host (see
+    ``_kept_get``). Without it (a proxy serves the crawl, or this is a
+    retry), and for an answer that is a 3xx, it goes through ``opener``, a
+    ``urllib.request`` opener, on a connection of its own: the opener sends
+    it to the proxy, follows redirects and sends no redirect's target the
+    credentials. As ``requests`` did, the path and query are
+    percent-encoded, user info in the URL is sent as Basic auth, and the
+    body may come gzipped.
     """
-    import gzip  # these import email, ssl and zlib, so only a crawl pays for them
-    import http.client
+    import http.client  # these import email, ssl and zlib, so only a crawl pays for them
     import urllib.request
     import zlib
 
@@ -842,41 +905,88 @@ def _urlopen(url: str, timeout: float) -> SimpleNamespace:
     if userinfo:  # unredirected: a redirect's target is not sent the credentials
         pair = f"{unquote(parts.username or '')}:{unquote(parts.password or '')}".encode("utf-8")
         request.add_unredirected_header("Authorization", "Basic " + base64.b64encode(pair).decode("ascii"))
-    open_url = _https_opener().open if parts.scheme == "https" else urllib.request.urlopen
     try:
-        try:
-            response = open_url(request, timeout=timeout)
-        except urllib.request.HTTPError as error:  # a 4xx or 5xx, read like any other answer
-            response = error
-        with response:
-            body = response.read()
-        gzipped = response.headers.get("Content-Encoding") == "gzip"
-        return SimpleNamespace(status_code=response.status, content=gzip.decompress(body) if gzipped else body)
+        answer = None if kept is None else _kept_get(kept, target, dict(request.header_items()), timeout)
+        if answer is None or 300 <= answer.status_code < 400:
+            try:
+                response = opener.open(request, timeout=timeout)
+            except urllib.request.HTTPError as error:  # a 4xx or 5xx, read like any other answer
+                response = error
+            with response:
+                answer = _answer(response)
+        return answer
     except (http.client.HTTPException, EOFError, zlib.error) as exc:  # cut short, bad status line, bad gzip
         raise ConnectionError(f"{_shown(url)}: {exc!r}") from exc
 
 
-@functools.cache
-def _https_opener() -> Any:
-    """The opener for every HTTPS request, with one TLS context: the CA store is read once, not per connection."""
-    import ssl
-    import urllib.request
+def _answer(response: Any) -> SimpleNamespace:
+    """A response's status, headers and body, the body gunzipped if it came gzipped."""
+    import gzip
 
-    return urllib.request.build_opener(urllib.request.HTTPSHandler(context=ssl.create_default_context()))
+    body = response.read()
+    if response.headers.get("Content-Encoding") == "gzip":
+        body = gzip.decompress(body)
+    return SimpleNamespace(status_code=response.status, content=body, headers=response.headers)
+
+
+def _kept_get(kept: dict[tuple, Any], target: Any, headers: dict, timeout: float) -> SimpleNamespace:
+    """A ``GET`` of ``target`` over the calling thread's kept connection to its host, opened if need be.
+
+    The connection is put back for the next request once its answer is
+    read, unless the answer says ``Connection: close`` (RFC 9112 §9.3); on
+    any raise it is closed. A kept connection that the server has closed
+    since fails before any answer arrives: the request is then sent once
+    more on a new connection, which no retry counts.
+    """
+    import http.client
+
+    key = (threading.get_ident(), target.scheme, target.netloc)
+    while True:
+        connection = kept.pop(key, None)
+        reused = connection is not None
+        if not reused:
+            connection = (
+                http.client.HTTPSConnection(target.netloc, timeout=timeout, context=_tls_context())
+                if target.scheme == "https"
+                else http.client.HTTPConnection(target.netloc, timeout=timeout)
+            )
+        response = None
+        try:
+            connection.request("GET", target._replace(scheme="", netloc="").geturl(), headers=headers)
+            response = connection.getresponse()
+            answer = _answer(response)
+        except BaseException as exc:
+            connection.close()
+            # RemoteDisconnected, an empty answer, is a ConnectionResetError
+            if reused and response is None and isinstance(exc, (BrokenPipeError, ConnectionResetError)):
+                continue
+            raise
+        if not response.will_close:  # http.client has closed a connection that will close
+            kept[key] = connection
+        return answer
+
+
+@functools.cache
+def _tls_context() -> Any:
+    """The one TLS context of every HTTPS connection: the CA store is read once, not per connection."""
+    import ssl
+
+    return ssl.create_default_context()
 
 
 def _api_pages(
-    config: IngestConfig, get: Callable[..., Any], sleep: Callable[[float], None], submit: Callable[..., Any]
+    config: IngestConfig, first: Callable[[str], Any], get: Callable[..., Any], sleep: Callable[[float], None]
 ) -> Iterator[tuple[str, Iterator[tuple[int, Any]]]]:
     """Yield ``(page url, fields of its records)`` in offset order until a short page.
 
     The first page is requested alone, so a one-page crawl or a bad URL
     makes one request; after it, ``_API_WINDOW`` pages are queued, each as
-    its cached records or as ``submit``'s future of its first attempt. A
-    cached short page ends the queueing, so a warm cache makes no request.
-    The page at the head is retried, if need be, and cached here, so
-    ``sleep`` is called from this thread alone, and a page past the end,
-    whose answer is discarded, is requested at most once and never cached.
+    its cached records or as ``first(url)``, the future of its first
+    attempt. A cached short page ends the queueing, so a warm cache makes
+    no request. The page at the head is retried with ``get``, if need be,
+    and cached here, so ``sleep`` is called from this thread alone, and a
+    page past the end, whose answer is discarded, is requested at most once
+    and never cached.
     """
     base = config.location.rstrip("/")
     cache_dir = Path(config.cache_dir) if config.cache_dir is not None else None
@@ -889,7 +999,7 @@ def _api_pages(
             url = f"{base}/api/taskrun?limit={config.page_size}&offset={next(offsets)}"
             page = _cached_page(cache_dir, url)
             short_page_queued = page is not None and len(page) < config.page_size
-            queued.append((url, submit(_attempt, url, get) if page is None else page))
+            queued.append((url, first(url) if page is None else page))
         url, page = queued.popleft()
         if not isinstance(page, list):
             page, body = _retried(url, get, sleep, page.result())

@@ -3,7 +3,9 @@
 Most tests drive fetch_api with a scripted stub session so failure modes are
 exact and instant; ``TestLiveHttp`` runs a real HTTP (and HTTPS) server to
 prove the stub assumptions hold for a live socket and to test the default
-client, ``ingest._urlopen``.
+client, ``ingest._urlopen``: its kept connections (one per worker thread,
+closed when the server says so or drops them), the proxy and redirect
+routes through ``urllib.request``, and the waits a ``Retry-After`` asks for.
 """
 
 import base64
@@ -12,12 +14,15 @@ import gc
 import gzip
 import json
 import os
+import socket
 import ssl
 import subprocess
 import sys
 import threading
 import time
 from contextlib import contextmanager
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
@@ -55,9 +60,10 @@ def record(i):
 class StubResponse:
     """A response whose body is ``payload`` as bytes, or encoded as JSON."""
 
-    def __init__(self, payload, status=200):
+    def __init__(self, payload, status=200, headers=None):
         self.content = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.status_code = status
+        self.headers = headers or {}
 
 
 class StubSession:
@@ -256,7 +262,8 @@ class TestUnwritableIds:
     def source(self, request, tmp_path, monkeypatch):
         def read_from(records):
             if request.param == "api":
-                monkeypatch.setattr(ingest, "_urlopen", paged_session(records, 100).get)
+                get = paged_session(records, 100).get
+                monkeypatch.setattr(ingest, "_urlopen", lambda url, timeout, opener, kept: get(url, timeout))
                 return ["--api-url", BASE], page_url(0)
             path = tmp_path / "events.jsonl"
             # json.dumps escapes a lone surrogate as \uXXXX, as a platform's export would
@@ -693,6 +700,46 @@ class CutShortHandler(BaseHTTPRequestHandler):
         pass
 
 
+def closing(announce):
+    """A ``PagedHandler`` that closes each connection after its answer, announced by ``Connection: close`` or not."""
+
+    def send_page(self, body, headers):
+        PagedHandler.send_page(self, body, {"Connection": "close"} if announce else {})
+        self.close_connection = True
+
+    return type("ClosingHandler", (PagedHandler,), {"send_page": send_page})
+
+
+class RefusingHandler(PagedHandler):
+    """Answers the first request with ``server.refusal``, a status and ``Retry-After`` value or a function giving them.
+
+    It serves pages after that.
+    """
+
+    def do_GET(self):
+        if self.server.refusal is None:
+            return super().do_GET()
+        status, retry_after = self.server.refusal() if callable(self.server.refusal) else self.server.refusal
+        self.server.refusal = None
+        self.server.paths.append(self.path)
+        self.send_response(status)
+        self.send_header("Retry-After", retry_after)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+
+class RedirectingHandler(PagedHandler):
+    """Answers every request with a 301 to the same path on ``server.target``."""
+
+    def do_GET(self):
+        self.server.paths.append(self.path)
+        self.server.headers.append(self.headers)
+        self.send_response(301)
+        self.send_header("Location", self.server.target + self.path)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+
 class PagedServer(ThreadingHTTPServer):
     daemon_threads = False  # so server_close joins every handler thread
 
@@ -701,6 +748,13 @@ class PagedServer(ThreadingHTTPServer):
         self.delay = delay
         self.paths = []  # of the requests served, in arrival order
         self.headers = []  # and their headers
+        self.connections = 0  # accepted, TLS handshakes done
+        self.refusal = self.target = None  # for RefusingHandler and RedirectingHandler
+
+    def get_request(self):
+        request = super().get_request()
+        self.connections += 1
+        return request
 
 
 #: A test CA, and a certificate for 127.0.0.1 that it signed, with its key (valid 2000-2199; for these tests only).
@@ -833,16 +887,17 @@ class TestLiveHttp:
 
         monkeypatch.setattr(ssl.SSLContext, "load_default_certs", counted)
         monkeypatch.setenv("SSL_CERT_FILE", str(TLS_DATA / "test-ca.pem"))
-        ingest._https_opener.cache_clear()
+        ingest._tls_context.cache_clear()
         try:
             with serving(tls=True) as server:
                 url = f"https://127.0.0.1:{server.server_port}"
                 result = load_events(IngestConfig(kind="api", location=url, page_size=20))
         finally:
-            ingest._https_opener.cache_clear()  # so later crawls read the CA store they find
+            ingest._tls_context.cache_clear()  # so later crawls read the CA store they find
         assert result.loaded == 120
         assert 7 <= len(server.paths) <= 7 + ingest._API_WINDOW - 1  # 6 full pages and an empty one
         assert len(loads) == 1
+        assert server.connections <= ingest._API_WINDOW  # a TLS handshake per worker, not per page
 
     def test_crawl_needs_no_requests_package(self, live_server, tmp_path):
         # None in sys.modules makes ``import requests`` raise ImportError, as if it were not installed
@@ -855,3 +910,127 @@ class TestLiveHttp:
         proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "report.json").exists()
+
+
+class TestKeptConnections:
+    """Each worker thread keeps one connection to the host for the crawl, as RFC 9112 §9.3 lets it."""
+
+    def test_a_crawl_opens_at_most_one_connection_per_worker(self):
+        with serving(delay=0.005) as server:
+            url = f"http://127.0.0.1:{server.server_port}"
+            result = fetch_api(IngestConfig(kind="api", location=url, page_size=20), sleep=lambda s: None)
+        assert result.loaded == 120
+        assert 7 <= len(server.paths) <= 7 + ingest._API_WINDOW - 1  # 6 full pages and an empty one
+        assert server.connections <= ingest._API_WINDOW
+
+    # "announced": each answer says Connection: close; "silent": the server drops each kept connection unannounced
+    @pytest.mark.parametrize(
+        "announce, tls", [(True, False), (False, False), (False, True)], ids=["announced", "silent", "silent-tls"]
+    )
+    def test_a_server_that_closes_each_connection_costs_no_retry(self, announce, tls, tmp_path, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_DATA / "test-ca.pem"))
+        ingest._tls_context.cache_clear()
+        sleeps = []
+        try:
+            with serving(handler=closing(announce), tls=tls) as server:
+                url = f"{'https' if tls else 'http'}://127.0.0.1:{server.server_port}"
+                cfg = IngestConfig(kind="api", location=url, page_size=20, cache_dir=str(tmp_path))
+                result = fetch_api(cfg, sleep=sleeps.append)
+        finally:
+            ingest._tls_context.cache_clear()  # so later crawls read the CA store they find
+        assert result.events == fetch_api(cfg, session=StubSession({})).events  # as cached
+        assert result.loaded == 120
+        assert sleeps == []
+        assert 7 <= len(server.paths) <= 7 + ingest._API_WINDOW - 1  # each page asked for once
+        assert server.connections == len(server.paths)
+
+
+class TestUrllibRoutes:
+    """A proxied crawl, and a request answered with a redirect, go through ``urllib.request``."""
+
+    def test_a_proxy_from_the_environment_serves_the_crawl(self, monkeypatch):
+        resolve = socket.getaddrinfo
+
+        def local_only(host, *args, **kwargs):  # the crawl must not look the API's host up itself
+            if host != "127.0.0.1":
+                raise socket.gaierror(f"no lookup of {host} here")
+            return resolve(host, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", local_only)
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        with serving() as proxy:
+            monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{proxy.server_port}")
+            sleeps = []
+            cfg = IngestConfig(kind="api", location="http://example.invalid", page_size=50)
+            result = fetch_api(cfg, sleep=sleeps.append)
+        assert result.loaded == 120
+        assert sleeps == []  # no page failed first
+        assert len(proxy.paths) >= 3
+        assert all(path.startswith("http://example.invalid/api/taskrun?limit=50&offset=") for path in proxy.paths)
+
+    def test_a_redirect_is_followed_without_the_credentials(self):
+        with serving() as target, serving(handler=RedirectingHandler) as origin:
+            origin.target = f"http://127.0.0.1:{target.server_port}"
+            url = f"http://user:pw@127.0.0.1:{origin.server_port}"
+            sleeps = []
+            result = fetch_api(IngestConfig(kind="api", location=url, page_size=50), sleep=sleeps.append)
+        assert result.loaded == 120
+        assert sleeps == []  # no page failed first
+        assert 3 <= len(target.paths) <= 3 + ingest._API_WINDOW - 1
+        expected = "Basic " + base64.b64encode(b"user:pw").decode()
+        assert [headers["Authorization"] for headers in origin.headers] == [expected] * len(origin.paths)
+        assert not any("Authorization" in headers for headers in target.headers)
+
+
+def http_date(seconds_ahead):
+    return format_datetime(datetime.now(timezone.utc) + timedelta(seconds=seconds_ahead), usegmt=True)
+
+
+class TestRetryAfter:
+    """A 429 or 503 retry waits what the answer's ``Retry-After`` asks for, if that is longer than the backoff."""
+
+    @pytest.mark.parametrize(
+        "refusal, low, high",
+        [
+            ((429, "3"), 3, 3),
+            (lambda: (503, http_date(10)), 8, 10),  # the date is written as the answer is sent
+            ((429, "0"), BACKOFF_BASE_SECONDS, BACKOFF_BASE_SECONDS),
+            ((429, "soon"), BACKOFF_BASE_SECONDS, BACKOFF_BASE_SECONDS),
+            ((503, "-5"), BACKOFF_BASE_SECONDS, BACKOFF_BASE_SECONDS),
+        ],
+        ids=["seconds", "http-date", "shorter-than-backoff", "unparseable", "negative"],
+    )
+    def test_the_retry_waits_as_asked(self, refusal, low, high):
+        sleeps = []
+        with serving(handler=RefusingHandler) as server:
+            server.refusal = refusal
+            url = f"http://127.0.0.1:{server.server_port}"
+            result = fetch_api(IngestConfig(kind="api", location=url, page_size=50), sleep=sleeps.append)
+        assert result.loaded == 120
+        assert len(sleeps) == 1 and low <= sleeps[0] <= high
+        assert server.paths[:2] == ["/api/taskrun?limit=50&offset=0"] * 2  # refused, then asked for again
+
+    def test_a_wait_over_the_cap_ends_the_run(self, monkeypatch, capsys):
+        sleeps = []
+        asked = ingest.MAX_RETRY_AFTER_SECONDS + 1
+        monkeypatch.setattr("crowdmetrics.cli.load_events", lambda cfg: fetch_api(cfg, sleep=sleeps.append))
+        with serving(handler=RefusingHandler) as server:
+            url = f"http://127.0.0.1:{server.server_port}"
+            server.refusal = (429, str(asked))
+            with pytest.raises(NetworkError, match=f"asks for a wait of {asked}s") as err:
+                fetch_api(IngestConfig(kind="api", location=url), sleep=sleeps.append)
+            assert "HTTP 429" in str(err.value.__cause__)
+            server.refusal = (429, str(asked))
+            assert main(["validate", "--api-url", url]) == 2
+        assert sleeps == []
+        assert len(server.paths) == 2  # one refused request a run
+        assert f"asks for a wait of {asked}s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(None, 0), ("", 0), ("120", 120), (" 7 ", 7), ("1.5", 0), ("-1", 0), ("soon", 0), ("٣", 0),
+         ("Wed, 21 Oct 2015 07:28:00 GMT", 0)],
+    )
+    def test_retry_after_values(self, value, expected):
+        assert ingest._retry_after(value) == expected
