@@ -783,12 +783,12 @@ def _attempt(url: str, get: Callable[..., Any]) -> tuple[list, bytes] | Exceptio
     return page, response.content
 
 
-def _retried(url: str, get: Callable[..., Any], sleep: Callable[[float], None], outcome: Any) -> tuple[list, bytes]:
+def _retried(url: str, attempt: Callable[..., Any], sleep: Callable[[float], None], outcome: Any) -> tuple[list, bytes]:
     """``outcome``, a page's first ``_attempt``, or else the first retry after backoff to succeed.
 
     A retry waits the backoff, or longer if the answer's ``Retry-After``
     asks for it; a wait asked for over ``MAX_RETRY_AFTER_SECONDS`` raises
-    ``NetworkError``.
+    ``NetworkError``. The retry is then ``attempt(url)``, as a first attempt is.
     """
     attempts = 1
     while isinstance(outcome, Exception):
@@ -802,7 +802,7 @@ def _retried(url: str, get: Callable[..., Any], sleep: Callable[[float], None], 
         attempts += 1
         logger.warning("retrying %s (attempt %d/%d) after %.1fs", _shown(url), attempts, MAX_API_ATTEMPTS, delay)
         sleep(delay)
-        outcome = _attempt(url, get)
+        outcome = attempt(url).result()
     return outcome
 
 
@@ -840,11 +840,10 @@ def fetch_api(
     as served and reused on later runs, so an analysis stays reproducible
     after the platform goes away. ``session.get(url, timeout=...)``, called
     from up to 4 threads at once, returns ``.status_code``, ``.content``
-    (the body's bytes) and ``.headers``. Without a session each attempt
-    calls ``_urlopen``, looked up when it is called: each worker thread
-    keeps one connection to the host open for the crawl, unless a proxy
-    serves the URL, and a retry, sent from the calling thread after its
-    wait, goes over a connection of its own. Every thread this starts is
+    (the body's bytes) and ``.headers``. Without a session every attempt,
+    retries too, calls ``_urlopen``, looked up when it is called, on a
+    worker thread that keeps one connection to the host open for the
+    crawl, unless a proxy serves the URL. Every thread this starts is
     joined, and every connection it opens is closed, before it returns.
 
     Raises:
@@ -858,7 +857,7 @@ def fetch_api(
 
     kept: dict[tuple, Any] = {}  # {(thread, scheme, host): connection} of the worker threads
     if session is not None:
-        get = retry = session.get
+        get = session.get
     else:
         import urllib.request
 
@@ -869,12 +868,10 @@ def fetch_api(
         opener = urllib.request.build_opener(urllib.request.ProxyHandler(proxies), *tls)
         proxied = parts.scheme in proxies and not urllib.request.proxy_bypass(parts.netloc.rpartition("@")[2])
         get = lambda url, timeout: _urlopen(url, timeout, opener, None if proxied else kept)  # noqa: E731
-        # a retry follows a wait that a kept connection may not outlast, so it goes over one of its own
-        retry = lambda url, timeout: _urlopen(url, timeout, opener, None)  # noqa: E731
     pool = ThreadPoolExecutor(_API_WINDOW)
     try:
-        first = lambda url: pool.submit(_attempt, url, get)  # noqa: E731
-        return _load_records(_api_pages(config, first, retry, sleep), config.strict)
+        attempt = lambda url: pool.submit(_attempt, url, get)  # noqa: E731
+        return _load_records(_api_pages(config, attempt, sleep), config.strict)
     finally:
         pool.shutdown(cancel_futures=True)  # after the attempts in flight return
         for connection in kept.values():
@@ -886,8 +883,8 @@ def _urlopen(url: str, timeout: float, opener: Any, kept: dict[tuple, Any] | Non
 
     With ``kept``, a crawl's ``{(thread, scheme, host): connection}``, the
     request goes over the calling thread's connection to the host (see
-    ``_kept_get``). Without it (a proxy serves the crawl, or this is a
-    retry), and for an answer that is a 3xx, it goes through ``opener``, a
+    ``_kept_get``). Without it (a proxy serves the crawl), and for an
+    answer that is a 3xx, it goes through ``opener``, a
     ``urllib.request`` opener, on a connection of its own: the opener sends
     it to the proxy, follows redirects and sends no redirect's target the
     credentials. As ``requests`` did, the path and query are
@@ -975,18 +972,18 @@ def _tls_context() -> Any:
 
 
 def _api_pages(
-    config: IngestConfig, first: Callable[[str], Any], get: Callable[..., Any], sleep: Callable[[float], None]
+    config: IngestConfig, attempt: Callable[[str], Any], sleep: Callable[[float], None]
 ) -> Iterator[tuple[str, Iterator[tuple[int, Any]]]]:
     """Yield ``(page url, fields of its records)`` in offset order until a short page.
 
     The first page is requested alone, so a one-page crawl or a bad URL
     makes one request; after it, ``_API_WINDOW`` pages are queued, each as
-    its cached records or as ``first(url)``, the future of its first
+    its cached records or as ``attempt(url)``, the future of its first
     attempt. A cached short page ends the queueing, so a warm cache makes
-    no request. The page at the head is retried with ``get``, if need be,
-    and cached here, so ``sleep`` is called from this thread alone, and a
-    page past the end, whose answer is discarded, is requested at most once
-    and never cached.
+    no request. The page at the head is retried, if need be, by waiting
+    here and calling ``attempt(url)`` again, and cached here, so ``sleep``
+    is called from this thread alone, and a page past the end, whose answer
+    is discarded, is requested at most once and never cached.
     """
     base = config.location.rstrip("/")
     cache_dir = Path(config.cache_dir) if config.cache_dir is not None else None
@@ -999,10 +996,10 @@ def _api_pages(
             url = f"{base}/api/taskrun?limit={config.page_size}&offset={next(offsets)}"
             page = _cached_page(cache_dir, url)
             short_page_queued = page is not None and len(page) < config.page_size
-            queued.append((url, first(url) if page is None else page))
+            queued.append((url, attempt(url) if page is None else page))
         url, page = queued.popleft()
         if not isinstance(page, list):
-            page, body = _retried(url, get, sleep, page.result())
+            page, body = _retried(url, attempt, sleep, page.result())
             if cache_dir is not None:
                 _write_cache(_cache_path(cache_dir, url), body)
         yield url, _json_fields(enumerate(page), keys)

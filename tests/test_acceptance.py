@@ -457,7 +457,7 @@ def test_criterion_10_ingestion_equivalence(tmp_path):
 
     _PagedHandler.records = records
     server = ThreadingHTTPServer(("127.0.0.1", 0), _PagedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     api_url = f"http://127.0.0.1:{server.server_port}"
     try:

@@ -728,6 +728,20 @@ class RefusingHandler(PagedHandler):
         self.end_headers()
 
 
+def unavailable_every(nth):
+    """A ``PagedHandler`` that answers every ``nth`` request with an empty 503 and keeps the connection open."""
+
+    def do_GET(self):
+        if (len(self.server.paths) + 1) % nth:
+            return PagedHandler.do_GET(self)
+        self.server.paths.append(self.path)
+        self.send_response(503)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    return type("UnavailableHandler", (PagedHandler,), {"do_GET": do_GET})
+
+
 class RedirectingHandler(PagedHandler):
     """Answers every request with a 301 to the same path on ``server.target``."""
 
@@ -772,7 +786,7 @@ def serving(delay=0.0, handler=PagedHandler, tls=False):
         context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         context.load_cert_chain(TLS_DATA / "localhost-cert.pem", TLS_DATA / "localhost-key.pem")
         server.socket = context.wrap_socket(server.socket, server_side=True)
-    thread = threading.Thread(target=server.serve_forever)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
     thread.start()
     try:
         yield server
@@ -846,9 +860,9 @@ class TestLiveHttp:
     )
     def test_unreadable_response_is_retried_then_exits_2(self, handler, monkeypatch, capsys):
         sleeps = []
-        with serving(handler=handler) as server:
+        with no_thread_left(), serving(handler=handler) as server:
             url = f"http://127.0.0.1:{server.server_port}"
-            with no_thread_left(), pytest.raises(NetworkError, match="giving up") as err:
+            with pytest.raises(NetworkError, match="giving up") as err:
                 fetch_api(IngestConfig(kind="api", location=url), sleep=sleeps.append)
             assert len(server.paths) == MAX_API_ATTEMPTS
             assert isinstance(err.value.__cause__, OSError)
@@ -943,6 +957,22 @@ class TestKeptConnections:
         assert sleeps == []
         assert 7 <= len(server.paths) <= 7 + ingest._API_WINDOW - 1  # each page asked for once
         assert server.connections == len(server.paths)
+
+    # over plain HTTP and TLS: a retry goes over a worker's kept connection, so it makes no handshake of its own
+    @pytest.mark.parametrize("tls", [False, True], ids=["http", "tls"])
+    def test_a_retry_opens_no_connection_of_its_own(self, tls, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_DATA / "test-ca.pem"))
+        ingest._tls_context.cache_clear()
+        sleeps = []
+        try:
+            with serving(handler=unavailable_every(3), tls=tls) as server:
+                url = f"{'https' if tls else 'http'}://127.0.0.1:{server.server_port}"
+                result = fetch_api(IngestConfig(kind="api", location=url, page_size=20), sleep=sleeps.append)
+        finally:
+            ingest._tls_context.cache_clear()  # so later crawls read the CA store they find
+        assert result.loaded == 120
+        assert sleeps
+        assert server.connections <= ingest._API_WINDOW
 
 
 class TestUrllibRoutes:
