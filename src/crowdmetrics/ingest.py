@@ -90,8 +90,11 @@ _API_WINDOW = 4
 #: stay, and a space or non-ASCII character is percent-encoded (as UTF-8).
 _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
-#: Rows per timestamp block; bounds the raw strings held and the parse's temporaries.
-_PARSE_CHUNK = 1 << 16
+#: Rows per timestamp block of the record loop; bounds the raw strings held and the parse's
+#: temporaries. A lenient crawl's blocks run across pages, so this alone bounds them: at
+#: 65,536 the ``api_crawl`` benchmark's peak RSS read 71.8-72.3 MB, against 64.4-64.7 MB with
+#: a block per page, and at 4,096 it reads 64.6-65.3 MB (2 vCPU Xeon).
+_PARSE_CHUNK = 1 << 12
 
 #: Bytes the CSV byte path reads at a time; each block is cut after its last newline.
 _BLOCK_BYTES = 1 << 20
@@ -202,10 +205,12 @@ def _field_keys(field_map: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
     return tuple((field_map[canonical], canonical) for canonical in CANONICAL_FIELDS)
 
 
-def _fields_from_mapping(obj: Mapping[str, Any], keys: tuple[tuple[str, str], ...]) -> tuple[str, str, str, str] | None:
+def _fields_from_mapping(
+    obj: Mapping[str, Any], keys: tuple[tuple[str, str], ...], limit: int
+) -> tuple[str, str, str, str] | None:
     """Volunteer, task, project and raw timestamp of a JSON-ish record (mapped names win); None if anonymous.
 
-    ``keys`` comes from ``_field_keys``.
+    ``keys`` comes from ``_field_keys``; ``limit`` is ``csv.field_size_limit()``.
     """
     get = obj.get
     values = []
@@ -222,9 +227,9 @@ def _fields_from_mapping(obj: Mapping[str, Any], keys: tuple[tuple[str, str], ..
         raise ValueError("missing project_id")
     if not isinstance(raw_timestamp, str):
         raise ValueError(f"missing or non-string timestamp: {raw_timestamp!r}")
-    limit = csv.field_size_limit()
     for value in ids:  # each id must be a field that ``ingest`` can write and load back
-        value.encode("utf-8")  # a \uXXXX escape can decode to a lone surrogate: UnicodeEncodeError
+        if not value.isascii():  # a \uXXXX escape can decode to a lone surrogate: UnicodeEncodeError
+            value.encode("utf-8")
         if len(value) > limit:
             raise ValueError(f"field larger than field limit ({limit})")
     return volunteer, task, project, raw_timestamp
@@ -255,13 +260,14 @@ def _load_records(pages: Iterable[tuple[str, Iterable[tuple[int, Any]]]], strict
     ``fields`` is a record's ``(volunteer, task, project, raw_timestamp)``,
     None for an anonymous record, or the error that makes it malformed. Ids
     are coded in arrival order. Raw timestamps, and in strict mode their
-    locations, are held until a block ends, after ``_PARSE_CHUNK`` records
-    and at each page end; the block's fixed-width ISO-8601 values are parsed
-    in one vectorised pass and the rest by ``parse_timestamp``. A malformed
-    record is tallied or, in strict mode, raised once the records before it
-    are parsed, so the first bad record is the one reported, and a bad API
-    page fails before any page more than ``_API_WINDOW - 1`` past it is
-    requested.
+    locations, are held until a block ends, after ``_PARSE_CHUNK`` records,
+    at the end of the load and, in strict mode, at each page end; the
+    block's fixed-width ISO-8601 values are parsed in one vectorised pass
+    and the rest by ``parse_timestamp``. A malformed record is tallied or,
+    in strict mode, raised once the records before it are parsed, so the
+    first bad record is the one reported, and a bad API page fails before
+    any page more than ``_API_WINDOW - 1`` past it is requested. A lenient
+    load raises no record's error, so its blocks run across pages.
     """
     # id -> code; a new id gets the next code, so codes follow arrival order
     volunteer_codes: dict[str, int] = defaultdict(count().__next__)
@@ -278,6 +284,8 @@ def _load_records(pages: Iterable[tuple[str, Iterable[tuple[int, Any]]]], strict
 
     def end_block() -> None:
         nonlocal skipped
+        if not stamps:
+            return
         micros, parsed = parse_canonical_timestamps(stamps)
         for index, exc in _parse_rest(micros, parsed, stamps.__getitem__):
             if strict:
@@ -308,7 +316,9 @@ def _load_records(pages: Iterable[tuple[str, Iterable[tuple[int, Any]]]], strict
                 raise MalformedRowError(source, position, str(fields))
             else:
                 skipped += 1
-        end_block()
+        if strict:
+            end_block()
+    end_block()
     kept = np.concatenate(kept_blocks)
     codes = [np.frombuffer(column, dtype=np.int32)[kept] for column in (volunteers, tasks, projects)]
     micros = np.concatenate(micros_blocks)[kept]
@@ -681,12 +691,13 @@ def _json_fields(
     records: Iterable[tuple[int, Any]], keys: tuple[tuple[str, str], ...], decode: Callable[[Any], Any] | None = None
 ) -> Iterator[tuple[int, Any]]:
     """``(position, fields)`` of each ``(position, record)`` (see ``_load_records``), after any ``decode``."""
+    limit = csv.field_size_limit()
     for position, record in records:
         try:
             obj = decode(record) if decode else record
             if not isinstance(obj, dict):
                 raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-            fields = _fields_from_mapping(obj, keys)
+            fields = _fields_from_mapping(obj, keys, limit)
         # JSONDecodeError is a ValueError; json.loads raises RecursionError on deep nesting
         except (ValueError, RecursionError) as exc:
             yield position, exc

@@ -289,6 +289,22 @@ class TestUnwritableIds:
         assert json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))[
             "metadata"]["events"]["skipped_malformed"] == 1
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_a_field_limit_lowered_before_the_load_holds(self, strict):
+        """The limit is read once per load, so the caller's setting at load time is the one kept."""
+        records = [record(1), {**record(2), "task_id": "t" * 60}, record(3)]
+        default = csv.field_size_limit(50)
+        try:
+            if strict:
+                with pytest.raises(MalformedRowError) as err:
+                    fetch_api(config(strict=True), session=paged_session(records, 100), sleep=lambda s: None)
+                assert (err.value.line_number, err.value.reason) == (1, "field larger than field limit (50)")
+            else:
+                result = fetch_api(config(), session=paged_session(records, 100), sleep=lambda s: None)
+                assert (result.loaded, result.skipped_malformed) == (2, 1)
+        finally:
+            csv.field_size_limit(default)
+
     def test_id_at_field_limit_round_trips(self, source, tmp_path, capsys):
         longest = "h" * csv.field_size_limit()
         read, _ = source([{**record(1), "task_id": longest}])
@@ -367,6 +383,29 @@ class TestBlockSize:
             events, tallies = loaded["csv"]
             assert tallies == (30, 2, 4)
             assert len(events) == 24
+
+    @pytest.mark.parametrize(
+        "strict, chunk, sizes",
+        [(False, None, [1000]), (True, None, [100] * 10), (False, 250, [250] * 4)],
+        ids=["lenient", "strict", "lenient-chunk-250"],
+    )
+    def test_only_strict_crawls_parse_a_block_per_page(self, monkeypatch, strict, chunk, sizes):
+        parse = ingest.parse_canonical_timestamps
+        calls = []
+
+        def counted(raw):
+            calls.append(len(raw))
+            return parse(raw)
+
+        monkeypatch.setattr(ingest, "parse_canonical_timestamps", counted)
+        if chunk is not None:
+            monkeypatch.setattr(ingest, "_PARSE_CHUNK", chunk)
+        records = [record(i) for i in range(1000)]
+        result = fetch_api(
+            config(page_size=100, strict=strict), session=paged_session(records, 100), sleep=lambda s: None
+        )
+        assert result.loaded == 1000
+        assert calls == sizes
 
 
 class TestRetries:
