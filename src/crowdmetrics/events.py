@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
 from itertools import compress, count
@@ -295,6 +295,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+@dataclass(eq=False, repr=False, slots=True)
 class EventTable(Sequence):
     """Task-execution events as columns, readable as a sequence of events.
 
@@ -312,25 +313,17 @@ class EventTable(Sequence):
     columns are equal.
     """
 
-    __slots__ = ("volunteer_ids", "task_ids", "project_ids", "volunteer", "task", "project", "timestamp")
+    volunteer_ids: Sequence[str]
+    task_ids: Sequence[str]
+    project_ids: Sequence[str]
+    volunteer: np.ndarray
+    task: np.ndarray
+    project: np.ndarray
+    timestamp: np.ndarray
 
-    def __init__(
-        self,
-        volunteer_ids: Sequence[str],
-        task_ids: Sequence[str],
-        project_ids: Sequence[str],
-        volunteer: np.ndarray,
-        task: np.ndarray,
-        project: np.ndarray,
-        timestamp: np.ndarray,
-    ):
-        self.volunteer_ids = volunteer_ids
-        self.task_ids = task_ids
-        self.project_ids = project_ids
-        self.volunteer = _read_only(volunteer)
-        self.task = _read_only(task)
-        self.project = _read_only(project)
-        self.timestamp = _read_only(timestamp)
+    def __post_init__(self):
+        for column in (self.volunteer, self.task, self.project, self.timestamp):
+            _read_only(column)
 
     @classmethod
     def from_codes(
@@ -348,10 +341,9 @@ class EventTable(Sequence):
         The ids may be in any order and may include ids no event uses; the
         table is re-coded to the sorted, used ids.
         """
-        volunteer_table, volunteer = _sort_codes(*_compact(tuple(volunteer_ids), volunteer))
-        task_table, task = _sort_codes(*_compact(tuple(task_ids), task))
-        project_table, project = _sort_codes(*_compact(tuple(project_ids), project))
-        return cls(volunteer_table, task_table, project_table, volunteer, task, project, timestamp)
+        pairs = zip((volunteer_ids, task_ids, project_ids), (volunteer, task, project))
+        tables, codes = zip(*(_sort_codes(*_compact(tuple(ids), column)) for ids, column in pairs))
+        return cls(*tables, *codes, timestamp)
 
     @classmethod
     def from_events(cls, events: Iterable[TaskExecutionEvent]) -> EventTable:
@@ -375,12 +367,9 @@ class EventTable(Sequence):
 
     def take(self, rows: np.ndarray) -> EventTable:
         """The events at ``rows``, in that order, with unused ids dropped."""
-        volunteer_ids, volunteer = _compact(self.volunteer_ids, self.volunteer[rows])
-        task_ids, task = _compact(self.task_ids, self.task[rows])
-        project_ids, project = _compact(self.project_ids, self.project[rows])
-        return EventTable(
-            volunteer_ids, task_ids, project_ids, volunteer, task, project, self.timestamp[rows]
-        )
+        pairs = zip((self.volunteer_ids, self.task_ids, self.project_ids), (self.volunteer, self.task, self.project))
+        tables, codes = zip(*(_compact(ids, column[rows]) for ids, column in pairs))
+        return EventTable(*tables, *codes, self.timestamp[rows])
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -409,15 +398,8 @@ class EventTable(Sequence):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EventTable):
-            return (
-                self.volunteer_ids == other.volunteer_ids
-                and self.task_ids == other.task_ids
-                and self.project_ids == other.project_ids
-                and np.array_equal(self.volunteer, other.volunteer)
-                and np.array_equal(self.task, other.task)
-                and np.array_equal(self.project, other.project)
-                and np.array_equal(self.timestamp, other.timestamp)
-            )
+            pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+            return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
         if isinstance(other, Sequence):
             return list(self) == list(other)
         return NotImplemented

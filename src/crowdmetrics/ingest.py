@@ -67,7 +67,7 @@ from .events import (
 
 logger = logging.getLogger(__name__)
 
-CANONICAL_FIELDS = ("volunteer_id", "task_id", "project_id", "timestamp")
+CANONICAL_FIELDS = TaskExecutionEvent._fields
 
 #: Default source field names, matching PyBossa task-run exports.
 DEFAULT_FIELD_MAP: dict[str, str] = {

@@ -162,27 +162,26 @@ def classify(
 class VolunteerMetricsTable(Mapping[str, VolunteerMetrics]):
     """Every volunteer's metrics and classes as columns, read as a mapping of rows.
 
-    ``volunteer_ids`` lists the ids in sorted order. ``available``,
-    ``explored``, ``regular`` and ``duration`` hold each volunteer's a, p, g
-    and relative activity duration, and ``platform`` and ``project`` the
-    class codes of ``_class_codes``, one entry per id. A ``VolunteerMetrics``
-    is built only when a volunteer is looked up or the rows are read;
-    ``values()`` is the rows as a sequence in id order.
+    The columns are derived from the profiles' count arrays: ``volunteer_ids``
+    lists the ids in sorted order, ``available``, ``explored``, ``regular``
+    and ``duration`` hold each volunteer's a, p, g and relative activity
+    duration, and ``platform`` and ``project`` the class codes of
+    ``_class_codes``, one entry per id. A ``VolunteerMetrics`` is built only
+    when a volunteer is looked up or the rows are read; ``values()`` is the
+    rows as a sequence in id order.
     """
 
     def __init__(
         self,
-        volunteer_ids: Sequence[str],
-        available: np.ndarray,
-        explored: np.ndarray,
-        regular: np.ndarray,
-        duration: np.ndarray,
-        platform: np.ndarray,
-        project: np.ndarray,
+        volunteers: VolunteerProfiles,
+        projects: Mapping[str, ProjectProfile],
+        observation_end: datetime,
+        availability: str,
     ):
-        self.volunteer_ids = volunteer_ids
-        self.available, self.explored, self.regular = available, explored, regular
-        self.duration, self.platform, self.project = duration, platform, project
+        self.volunteer_ids, self.explored, self.regular = volunteers.ids, volunteers.explored, volunteers.regular
+        self.available = _available(volunteers.join, projects, availability)
+        self.duration = _activity_duration(volunteers.join, volunteers.last, to_micros(observation_end))
+        self.platform, self.project = _class_codes(volunteers.active_day_count, self.explored, self.regular)
 
     def __len__(self) -> int:
         return len(self.volunteer_ids)
@@ -274,13 +273,4 @@ def compute_volunteer_metrics(
     The table holds the ids and its own arrays, not the profiles, so it does
     not keep the snapshot's events alive.
     """
-    platform, project = _class_codes(volunteers.active_day_count, volunteers.explored, volunteers.regular)
-    return VolunteerMetricsTable(
-        volunteers.ids,
-        _available(volunteers.join, projects, availability),
-        volunteers.explored,
-        volunteers.regular,
-        _activity_duration(volunteers.join, volunteers.last, to_micros(observation_end)),
-        platform,
-        project,
-    )
+    return VolunteerMetricsTable(volunteers, projects, observation_end, availability)

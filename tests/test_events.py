@@ -1,20 +1,26 @@
 """Event parsing, snapshot construction, and profile derivation."""
 
+import json
 import random
 from datetime import datetime, timedelta, timezone
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from crowdmetrics.events import (
     EmptyDatasetError,
     EventAfterObservationEndError,
+    EventTable,
+    IdKeys,
     InvalidTimestampError,
     TaskExecutionEvent,
     build_snapshot,
     derive_profiles,
     parse_timestamp,
 )
+from crowdmetrics.ingest import IngestConfig, fetch_api, load_events
 from testkit import EPOCH, dedupe_oracle, ev, ev_at, ts, volunteer_oracle
 
 
@@ -527,3 +533,98 @@ class TestRegistrationOverride:
         assert shifted["v"].available_projects == 2
         assert shifted["v"].relative_activity_duration > plain["v"].relative_activity_duration
         assert plain["w"] == shifted["w"]
+
+
+#: An ``EventTable``'s fields, in constructor order, with valid values: sorted id tables that hold only used ids.
+TABLE = {
+    "volunteer_ids": ("a", "b"),
+    "task_ids": ("t1", "t2", "t3"),
+    "project_ids": ("p1", "p2"),
+    "volunteer": [0, 1, 1],
+    "task": [0, 1, 2],
+    "project": [0, 0, 1],
+    "timestamp": [0, 86_400_000_000, 2 * 86_400_000_000],
+}
+#: For each field, another valid value, so a table with it differs from ``TABLE``'s in that field alone.
+CHANGED = {
+    "volunteer_ids": ("a", "c"),
+    "task_ids": ("t1", "t2", "t4"),
+    "project_ids": ("p1", "p3"),
+    "volunteer": [0, 0, 1],
+    "task": [0, 2, 1],
+    "project": [0, 1, 1],
+    "timestamp": [0, 86_400_000_000, 2 * 86_400_000_000 + 1],
+}
+ARRAYS = ("volunteer", "task", "project", "timestamp")
+
+
+def table(**changes):
+    """A fresh ``EventTable`` of ``TABLE``'s values, with ``changes`` in place of some."""
+    values = {**TABLE, **changes}
+    for name in ARRAYS:
+        values[name] = np.array(values[name], dtype=np.int64 if name == "timestamp" else np.int32)
+    return EventTable(**values)
+
+
+def assert_read_only(events):
+    for name in ARRAYS:
+        column = getattr(events, name)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[0]
+
+
+class TestEventTableContract:
+    """Equality reads every field, the four arrays are read-only whatever built the table, and it has slots only."""
+
+    def test_equal_copies_compare_equal(self):
+        assert table() == table()
+        positional = table()
+        assert EventTable(*(getattr(positional, name) for name in TABLE)) == table()
+        # a key table equals the tuple of the same ids, either way round
+        keyed = table(task_ids=IdKeys(np.array([b"t1", b"t2", b"t3"])))
+        assert keyed == table() and table() == keyed
+
+    @pytest.mark.parametrize("name", list(TABLE))
+    def test_a_table_that_differs_in_one_field_compares_unequal(self, name):
+        changed = table(**{name: CHANGED[name]})
+        assert changed != table()
+        assert table() != changed
+
+    def test_a_table_has_no_instance_dict(self):
+        assert not hasattr(table(), "__dict__")
+
+    def test_columns_are_read_only_however_built(self):
+        assert_read_only(table())
+        assert_read_only(table().take(np.array([2, 0])))
+        assert_read_only(
+            EventTable.from_codes(
+                ["b", "a"], ["t2", "t1"], ["p1"], np.array([0, 1], dtype=np.int32),
+                np.array([1, 0], dtype=np.int32), np.array([0, 0], dtype=np.int32), np.array([5, 6]),
+            )
+        )
+
+    def test_every_loader_returns_read_only_columns(self, tmp_path):
+        records = [
+            {"user_id": f"u{i % 2}", "task_id": f"t{i}", "project_id": "p", "finish_time": f"2014-01-0{i + 1}T00:00:00Z"}
+            for i in range(3)
+        ]
+        header = "user_id,task_id,project_id,finish_time\n"
+        ascii_csv = tmp_path / "ascii.csv"
+        ascii_csv.write_text(header + "".join(",".join(r.values()) + "\n" for r in records), encoding="utf-8")
+        declined_csv = tmp_path / "declined.csv"  # a non-ASCII byte: the csv.reader route
+        declined_csv.write_text(header + "u\u00e9,t9,p,2014-01-09T00:00:00Z\n", encoding="utf-8")
+        jsonl = tmp_path / "events.jsonl"
+        jsonl.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        byte_path = load_events(IngestConfig(kind="csv-file", location=str(ascii_csv))).events
+        rows_path = load_events(IngestConfig(kind="csv-file", location=str(declined_csv))).events
+        assert isinstance(byte_path.task_ids, IdKeys) and isinstance(rows_path.task_ids, tuple)
+        pages = SimpleNamespace(
+            get=lambda url, timeout: SimpleNamespace(
+                status_code=200, headers={}, content=json.dumps(records if url.endswith("offset=0") else []).encode()
+            )
+        )
+        crawled = fetch_api(IngestConfig(kind="api", location="http://platform.test"), session=pages).events
+        from_jsonl = load_events(IngestConfig(kind="jsonl-file", location=str(jsonl))).events
+        for events in (byte_path, rows_path, from_jsonl, crawled):
+            assert len(events)
+            assert_read_only(events)

@@ -1014,6 +1014,21 @@ class TestKeptConnections:
         assert server.connections <= ingest._API_WINDOW
 
 
+@pytest.fixture
+def lookups_local_only(monkeypatch):
+    """Fails the lookup of any host but 127.0.0.1 and clears the proxy exemptions, so only a proxy reaches the API."""
+    resolve = socket.getaddrinfo
+
+    def local_only(host, *args, **kwargs):  # the crawl must not look the API's host up itself
+        if host != "127.0.0.1":
+            raise socket.gaierror(f"no lookup of {host} here")
+        return resolve(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", local_only)
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+
+
 class TestUrllibRoutes:
     """A proxied crawl, and a request answered with a redirect, go through ``urllib.request``."""
 
@@ -1038,6 +1053,27 @@ class TestUrllibRoutes:
         assert len(proxy.paths) >= 3
         assert all(path.startswith("http://example.invalid/api/taskrun?limit=50&offset=") for path in proxy.paths)
 
+    # urllib.request raises a 4xx or 5xx answer as an HTTPError, which _urlopen reads like any other answer
+    def test_a_proxied_crawl_retries_a_5xx_answer(self, lookups_local_only, monkeypatch):
+        sleeps = []
+        with serving(handler=unavailable_every(3)) as proxy:
+            monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{proxy.server_port}")
+            # 20 a page: the third request, the first one refused, is for a page the crawl needs
+            cfg = IngestConfig(kind="api", location="http://example.invalid", page_size=20)
+            result = fetch_api(cfg, sleep=sleeps.append)
+        assert result.loaded == 120
+        assert sleeps
+        assert all(path.startswith("http://example.invalid/api/taskrun?limit=20&offset=") for path in proxy.paths)
+
+    def test_a_proxied_crawl_fails_at_once_on_a_4xx_answer(self, lookups_local_only, monkeypatch):
+        sleeps = []
+        with serving() as proxy:
+            monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{proxy.server_port}")
+            with pytest.raises(NetworkError, match="client error 404"):
+                fetch_api(IngestConfig(kind="api", location="http://example.invalid/elsewhere"), sleep=sleeps.append)
+        assert sleeps == []
+        assert proxy.paths == ["http://example.invalid/elsewhere/api/taskrun?limit=100&offset=0"]
+
     def test_a_redirect_is_followed_without_the_credentials(self):
         with serving() as target, serving(handler=RedirectingHandler) as origin:
             origin.target = f"http://127.0.0.1:{target.server_port}"
@@ -1056,6 +1092,11 @@ def http_date(seconds_ahead):
     return format_datetime(datetime.now(timezone.utc) + timedelta(seconds=seconds_ahead), usegmt=True)
 
 
+def zoneless_http_date(seconds_ahead):
+    """An HTTP date in UTC whose zone is written "-0000", as ``format_datetime`` writes a naive instant."""
+    return format_datetime(datetime.now(timezone.utc).replace(tzinfo=None) + timedelta(seconds=seconds_ahead))
+
+
 class TestRetryAfter:
     """A 429 or 503 retry waits what the answer's ``Retry-After`` asks for, if that is longer than the backoff."""
 
@@ -1067,8 +1108,9 @@ class TestRetryAfter:
             ((429, "0"), BACKOFF_BASE_SECONDS, BACKOFF_BASE_SECONDS),
             ((429, "soon"), BACKOFF_BASE_SECONDS, BACKOFF_BASE_SECONDS),
             ((503, "-5"), BACKOFF_BASE_SECONDS, BACKOFF_BASE_SECONDS),
+            (lambda: (503, zoneless_http_date(10)), 8, 10),
         ],
-        ids=["seconds", "http-date", "shorter-than-backoff", "unparseable", "negative"],
+        ids=["seconds", "http-date", "shorter-than-backoff", "unparseable", "negative", "http-date-0000"],
     )
     def test_the_retry_waits_as_asked(self, refusal, low, high):
         sleeps = []
