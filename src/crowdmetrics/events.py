@@ -543,17 +543,17 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
     largest snapshot position: the first event, ties going to the smaller
     task id, and the last (``derive_profiles`` may move ``join`` back to a
     registration date). ``active_day_count`` counts each volunteer's
-    distinct sorted (day, volunteer) keys. ``explored`` counts the
-    (volunteer, project) pairs, grouped by one sort of their key, and
+    distinct (day, volunteer) keys, sorted in place. ``explored`` counts the
+    (volunteer, project) pairs, grouped by one argsort of their key, and
     ``regular`` those whose largest UTC day exceeds their smallest: tasks on
-    two or more days. A ``VolunteerProfile`` is built only when a volunteer
-    is looked up.
+    two or more days. Each key is built in place and each event-length
+    temporary dropped once read, so at most three of them are held at once.
+    A ``VolunteerProfile`` is built only when a volunteer is looked up.
     """
 
     def __init__(self, events: EventTable):
         volunteer, project, timestamp = events.volunteer, events.project, events.timestamp
         project_count = len(events.project_ids)
-        day = timestamp // DAY_MICROS
         self.ids = events.volunteer_ids
         self._events = events
         count = len(self.ids)
@@ -562,19 +562,28 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
         self.join, self.last = timestamp[first], timestamp[last]
         self.first_project = project[first]
         # one sorted key per (day, volunteer) event; the floor % gives the volunteer back
-        volunteer_day = np.sort(day * count + volunteer)
+        volunteer_day = timestamp // DAY_MICROS
+        volunteer_day *= count
+        volunteer_day += volunteer
+        volunteer_day.sort()
         distinct = volunteer_day[_group_starts(volunteer_day)]
+        del volunteer_day
         self.active_day_count = np.bincount(distinct % count, minlength=count)
+        del distinct
 
         # (volunteer, project) pairs, sorted by volunteer and then project
-        pair_key = volunteer.astype(np.int64) * project_count + project
+        pair_key = volunteer.astype(np.int64)
+        pair_key *= project_count
+        pair_key += project
         by_pair = np.argsort(pair_key)
         pair_key = pair_key[by_pair]
+        pair_day = timestamp[by_pair]
+        del by_pair
+        pair_day //= DAY_MICROS
         runs = _group_starts(pair_key)
         self._pair_volunteer = (pair_key[runs] // project_count).astype(np.int32)
         self._pair_project = (pair_key[runs] % project_count).astype(np.int32)
         self._pair_tasks = np.diff(np.append(runs, len(events)))
-        pair_day = day[by_pair]
         pair_regular = np.maximum.reduceat(pair_day, runs) > np.minimum.reduceat(pair_day, runs)
         self.explored = np.bincount(self._pair_volunteer, minlength=count)
         self.regular = np.bincount(self._pair_volunteer[pair_regular], minlength=count)
@@ -659,8 +668,9 @@ def build_snapshot(
     timestamp = table.timestamp
     # (volunteer, task) as one key that sorts by volunteer, then task
     pair = table.volunteer[rows].astype(np.int64) * len(table.task_ids) + table.task[rows]
-    # this stage sets the run's peak memory: reassign one array at a time and
-    # drop each as soon as it is dead
+    # on the 1.25M-event scale fixture this stage sets a report's peak RSS (the
+    # load and the profiles peak lower): reassign one array at a time and drop
+    # each as soon as it is dead
     order = np.argsort(pair)
     rows = rows[order]
     pair = pair[order]

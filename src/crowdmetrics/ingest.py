@@ -59,6 +59,7 @@ from .events import (
     TaskExecutionEvent,
     _canonical_micros,
     _decode_ids,
+    _group_starts,
     _key_bytes,
     parse_canonical_timestamps,
     parse_timestamp,
@@ -641,14 +642,32 @@ def _id_keys(buf: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray
 
 
 def _merge_id_blocks(blocks: tuple[tuple[np.ndarray, np.ndarray], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """One id column's sorted keys and int32 codes from its blocks' ``np.unique`` tables and inverses."""
+    """One id column's sorted keys and int32 codes from its blocks' ``np.unique`` tables and inverses.
+
+    Each block's table is a sorted run, so one stable argsort of their
+    concatenation merges them (timsort finds the runs). Each concatenated
+    key's int32 rank among the distinct keys is scattered back to its
+    position, and the argsort and sorted keys are freed before the blocks'
+    inverses gather their codes from those ranks.
+    """
     tables = [table for table, _ in blocks]
     if any(table.dtype.kind == "S" for table in tables):
         tables = list(map(_key_bytes, tables))
-    merged, remap = np.unique(np.concatenate(tables), return_inverse=True)
+    keys = np.concatenate(tables)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = _group_starts(keys)
+    merged = keys[starts]
+    del keys
+    rank = np.zeros(len(order), dtype=np.int32)
+    rank[starts[1:]] = 1
+    del starts
+    np.cumsum(rank, out=rank)
+    remap = np.empty_like(rank)
+    remap[order] = rank
+    del order, rank
     offsets = np.cumsum([0] + [len(table) for table in tables[:-1]])
-    codes = np.concatenate([remap[offset + inverse] for offset, (_, inverse) in zip(offsets, blocks)])
-    return merged, codes.astype(np.int32)
+    return merged, np.concatenate([remap[offset + inverse] for offset, (_, inverse) in zip(offsets, blocks)])
 
 
 def _load_csv_rows(config: IngestConfig) -> IngestResult:

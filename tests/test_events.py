@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crowdmetrics.events import (
+    DAY_MICROS,
     EmptyDatasetError,
     EventAfterObservationEndError,
     EventTable,
     IdKeys,
     InvalidTimestampError,
     TaskExecutionEvent,
+    VolunteerProfiles,
     build_snapshot,
     derive_profiles,
     parse_timestamp,
@@ -451,6 +454,34 @@ class TestDeriveProfiles:
         assert first == second
 
 
+def test_profiles_peak_near_their_events():
+    """Deriving the profiles' arrays allocates at most 2.7 times the event table's arrays.
+
+    Keys built in place and freed once read take it to 1.9 times; with a
+    whole-table day array and copies of each key it was 3.5.
+    """
+    events, volunteers = 100_000, 5_000
+    rng = np.random.default_rng(31)
+    table = EventTable(
+        tuple(f"v{i:05d}" for i in range(volunteers)),
+        tuple(f"t{i:06d}" for i in range(events)),
+        tuple(f"p{i:02d}" for i in range(12)),
+        rng.integers(0, volunteers, events).astype(np.int32),
+        np.arange(events, dtype=np.int32),
+        rng.integers(0, 12, events).astype(np.int32),
+        np.sort(rng.integers(0, 200 * DAY_MICROS, events)),
+    )
+    tracemalloc.start()
+    try:
+        profiles = VolunteerProfiles(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(profiles) == volunteers and int(profiles.explored.sum()) <= events
+    size = sum(column.nbytes for column in (table.volunteer, table.task, table.project, table.timestamp))
+    assert peak / size < 2.7, f"profiles peak {peak / size:.2f} times the events"
+
+
 class TestRegistrationOverride:
     def test_override_moves_join_earlier(self):
         events = [
@@ -589,6 +620,9 @@ class TestEventTableContract:
         changed = table(**{name: CHANGED[name]})
         assert changed != table()
         assert table() != changed
+
+    def test_a_table_is_not_equal_to_a_non_sequence(self):
+        assert not (table() == 5) and table() != None  # noqa: E711
 
     def test_a_table_has_no_instance_dict(self):
         assert not hasattr(table(), "__dict__")

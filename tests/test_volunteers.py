@@ -242,6 +242,10 @@ class TestVolunteerRows:
             with pytest.raises(IndexError, match="volunteer row index"):
                 rows[index]
 
+    def test_rows_are_not_equal_to_a_non_sequence(self, metrics):
+        rows = metrics.values()
+        assert not (rows == 5) and rows != None and rows != "v0"  # noqa: E711
+
     @pytest.mark.parametrize("key", ["nobody", 3])
     def test_unknown_id_is_a_key_error(self, metrics, key):
         with pytest.raises(KeyError):
