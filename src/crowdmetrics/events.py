@@ -517,11 +517,16 @@ def _code(table: Sequence[str], key: str) -> int:
     raise KeyError(key)
 
 
+def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values."""
+    first = np.ones(len(sorted_keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return first
+
+
 def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
     """Index of the first element of each run of equal values."""
-    boundary = np.ones(len(sorted_keys), dtype=bool)
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
-    return np.flatnonzero(boundary)
+    return np.flatnonzero(_first_of_runs(sorted_keys))
 
 
 def _first_and_last(groups: np.ndarray, size: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -537,18 +542,21 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
     """Per-volunteer counts over a snapshot's events, one array entry per volunteer code.
 
     Codes follow the snapshot's sorted volunteer table, so iteration is in
-    volunteer id order. ``__init__`` reduces the events, in snapshot order,
-    to the arrays the metrics read. ``join``, ``last`` and ``first_project``
+    volunteer id order. ``__init__`` reduces the events to the arrays the
+    metrics read, and the table must be in snapshot (time) order, as
+    ``build_snapshot`` leaves it. ``join``, ``last`` and ``first_project``
     are the timestamps and the project at each volunteer's smallest and
     largest snapshot position: the first event, ties going to the smaller
     task id, and the last (``derive_profiles`` may move ``join`` back to a
     registration date). ``active_day_count`` counts each volunteer's
     distinct (day, volunteer) keys, sorted in place. ``explored`` counts the
-    (volunteer, project) pairs, grouped by one argsort of their key, and
-    ``regular`` those whose largest UTC day exceeds their smallest: tasks on
-    two or more days. Each key is built in place and each event-length
-    temporary dropped once read, so at most three of them are held at once.
-    A ``VolunteerProfile`` is built only when a volunteer is looked up.
+    (volunteer, project) pairs, grouped by one stable argsort of their key,
+    and ``regular`` those whose last event falls on a later UTC day than
+    their first: tasks on two or more days. In time order those two events
+    are the ends of the pair's run in the argsort. Each key is built in
+    place and each temporary dropped once read, so at most three
+    event-length ones are held at once. A ``VolunteerProfile`` is built only
+    when a volunteer is looked up.
     """
 
     def __init__(self, events: EventTable):
@@ -566,7 +574,7 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
         volunteer_day *= count
         volunteer_day += volunteer
         volunteer_day.sort()
-        distinct = volunteer_day[_group_starts(volunteer_day)]
+        distinct = volunteer_day[_first_of_runs(volunteer_day)]
         del volunteer_day
         self.active_day_count = np.bincount(distinct % count, minlength=count)
         del distinct
@@ -575,16 +583,20 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
         pair_key = volunteer.astype(np.int64)
         pair_key *= project_count
         pair_key += project
-        by_pair = np.argsort(pair_key)
+        by_pair = np.argsort(pair_key, kind="stable")
         pair_key = pair_key[by_pair]
-        pair_day = timestamp[by_pair]
-        del by_pair
-        pair_day //= DAY_MICROS
         runs = _group_starts(pair_key)
-        self._pair_volunteer = (pair_key[runs] // project_count).astype(np.int32)
-        self._pair_project = (pair_key[runs] % project_count).astype(np.int32)
+        del pair_key
         self._pair_tasks = np.diff(np.append(runs, len(events)))
-        pair_regular = np.maximum.reduceat(pair_day, runs) > np.minimum.reduceat(pair_day, runs)
+        # a stable sort of events in time order: each run starts with its
+        # pair's first event and ends with its last (for no events, no runs)
+        heads = by_pair[runs]
+        runs += self._pair_tasks - 1
+        tails = by_pair[runs]
+        del by_pair, runs
+        self._pair_volunteer, self._pair_project = volunteer[heads], project[heads]
+        pair_regular = timestamp[tails] // DAY_MICROS > timestamp[heads] // DAY_MICROS
+        del heads, tails
         self.explored = np.bincount(self._pair_volunteer, minlength=count)
         self.regular = np.bincount(self._pair_volunteer[pair_regular], minlength=count)
         # volunteer c's pairs: _pair_starts[c]:_pair_starts[c + 1]
@@ -661,22 +673,27 @@ def build_snapshot(
     if not len(table):
         raise EmptyDatasetError("the input holds no events")
     dropped = [code for code, project_id in enumerate(table.project_ids) if project_id in excluded]
-    rows = np.flatnonzero(~np.isin(table.project, dropped))
-    if not rows.size:
-        raise EmptyDatasetError("no events survive exclusion filtering")
+    volunteer, task, rows = table.volunteer, table.task, None
+    if dropped:
+        rows = np.flatnonzero(~np.isin(table.project, dropped))
+        if not rows.size:
+            raise EmptyDatasetError("no events survive exclusion filtering")
+        volunteer, task = volunteer[rows], task[rows]
 
     timestamp = table.timestamp
     # (volunteer, task) as one key that sorts by volunteer, then task
-    pair = table.volunteer[rows].astype(np.int64) * len(table.task_ids) + table.task[rows]
-    # on the 1.25M-event scale fixture this stage sets a report's peak RSS (the
-    # load and the profiles peak lower): reassign one array at a time and drop
+    pair = volunteer.astype(np.int64)
+    pair *= len(table.task_ids)
+    pair += task
+    del volunteer, task
+    # the load, this stage and the profiles peak at about the same live memory
+    # on the 1.25M-event scale fixture: reassign one array at a time and drop
     # each as soon as it is dead
     order = np.argsort(pair)
-    rows = rows[order]
+    rows = order if rows is None else rows[order]
     pair = pair[order]
     del order
-    first = np.ones(len(pair), dtype=bool)
-    np.not_equal(pair[1:], pair[:-1], out=first[1:])
+    first = _first_of_runs(pair)
     duplicates = len(pair) - int(np.count_nonzero(first))
     # only the rows of a repeated pair need the full order; its first row wins
     repeated = ~first
@@ -686,7 +703,10 @@ def build_snapshot(
     order = np.lexsort((table.project[repeat_rows], timestamp[repeat_rows], pair[repeated]))
     rows[repeated] = repeat_rows[order]
     del pair, repeated, repeat_rows, order
-    rows = rows[first]
+    # the new table is built beside the kept rows, so hold them in the smallest
+    # unsigned type that indexes the table: numpy gathers through it as fast
+    # as through intp
+    rows = rows[first].astype(np.min_scalar_type(len(table)))
     del first
     # the kept rows are in pair order, so a stable sort breaks time ties by pair
     rows = rows[np.argsort(timestamp[rows], kind="stable")]

@@ -59,7 +59,7 @@ from .events import (
     TaskExecutionEvent,
     _canonical_micros,
     _decode_ids,
-    _group_starts,
+    _first_of_runs,
     _key_bytes,
     parse_canonical_timestamps,
     parse_timestamp,
@@ -527,10 +527,14 @@ def _load_csv_bytes(handle, config: IngestConfig, source: str) -> IngestResult:
         queued.clear()  # so a held decline's traceback holds no later block's arrays
         pool.shutdown(cancel_futures=True)
     total, dropped, skipped, micros, ids = zip(*results)
-    (volunteer_keys, task_keys, project_keys), codes = zip(*map(_merge_id_blocks, zip(*ids)))
+    timestamp = np.concatenate(micros)
+    columns = list(zip(*ids))
+    del results, micros, ids  # the blocks' timestamps go now, each id column's blocks once it is merged
+    merged = [_merge_id_blocks(columns.pop(0)) for _ in range(len(columns))]
+    (volunteer_keys, task_keys, project_keys), codes = zip(*merged)
     # reports read every volunteer and project id, but a task id only as a dedupe key
     tables = _decode_ids(volunteer_keys), IdKeys(task_keys), _decode_ids(project_keys)
-    events = EventTable(*tables, *codes, np.concatenate(micros))
+    events = EventTable(*tables, *codes, timestamp)
     return IngestResult(
         events, total_records=sum(total), dropped_anonymous=sum(dropped), skipped_malformed=sum(skipped)
     )
@@ -645,28 +649,30 @@ def _merge_id_blocks(blocks: tuple[tuple[np.ndarray, np.ndarray], ...]) -> tuple
     """One id column's sorted keys and int32 codes from its blocks' ``np.unique`` tables and inverses.
 
     Each block's table is a sorted run, so one stable argsort of their
-    concatenation merges them (timsort finds the runs). Each concatenated
-    key's int32 rank among the distinct keys is scattered back to its
-    position, and the argsort and sorted keys are freed before the blocks'
-    inverses gather their codes from those ranks.
+    concatenation merges them (timsort finds the runs). A boolean mask marks
+    the first of each run of equal sorted keys, and its ``cumsum`` less one
+    is each sorted key's int32 rank among the distinct keys; no index array
+    of the distinct keys is made. The ranks are scattered back to the keys'
+    concatenated positions, and the argsort, mask and sorted keys are freed
+    before the blocks' inverses gather their codes from those ranks.
     """
     tables = [table for table, _ in blocks]
     if any(table.dtype.kind == "S" for table in tables):
         tables = list(map(_key_bytes, tables))
+    offsets = np.cumsum([0] + [len(table) for table in tables[:-1]])
     keys = np.concatenate(tables)
+    del tables
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    starts = _group_starts(keys)
-    merged = keys[starts]
+    first = _first_of_runs(keys)
+    merged = keys[first]
     del keys
-    rank = np.zeros(len(order), dtype=np.int32)
-    rank[starts[1:]] = 1
-    del starts
-    np.cumsum(rank, out=rank)
+    rank = np.cumsum(first, dtype=np.int32)
+    del first
+    rank -= 1
     remap = np.empty_like(rank)
     remap[order] = rank
     del order, rank
-    offsets = np.cumsum([0] + [len(table) for table in tables[:-1]])
     return merged, np.concatenate([remap[offset + inverse] for offset, (_, inverse) in zip(offsets, blocks)])
 
 
@@ -1062,15 +1068,20 @@ def write_events_csv(events: Iterable[TaskExecutionEvent], path: str | Path) -> 
 
     Written through ``_replacing``: if writing raises, a previous file at
     ``path`` stays as it was.
+
+    Raises:
+        ValueError: an event carries an empty id, as ``EventTable.from_events``
+            rejects it; a loader would read such a row as anonymous or malformed.
     """
     count = 0
     with _replacing(Path(path)) as (temp,), temp.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
         for event in events:
-            writer.writerow(
-                (event.volunteer_id, event.task_id, event.project_id, format_timestamp(event.timestamp))
-            )
+            ids = (event.volunteer_id, event.task_id, event.project_id)
+            if not all(ids):
+                raise ValueError(f"event with empty id field: {event!r}")
+            writer.writerow((*ids, format_timestamp(event.timestamp)))
             count += 1
     return count
 

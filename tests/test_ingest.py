@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from crowdmetrics.cli import build_parser
 from crowdmetrics.events import (
+    EventTable,
     InvalidTimestampError,
     _ISO_WIDTHS,
     build_snapshot,
@@ -586,6 +587,20 @@ class TestWriteEventsCsv:
 
         with pytest.raises(RuntimeError, match="source failed"):
             write_events_csv(two_then_fail(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize("empty", ["volunteer", "task"])
+    def test_an_empty_id_is_refused_and_the_previous_file_kept(self, tmp_path, sample_events, empty):
+        # such a row would reload as an anonymous or a malformed record, not as the event written
+        path = tmp_path / "out.csv"
+        write_events_csv(sample_events, path)
+        before = path.read_bytes()
+        bad = ev("" if empty == "volunteer" else "u9", "" if empty == "task" else "t9", "p1", "2014-01-05T10:00")
+        with pytest.raises(ValueError, match="^event with empty id field: "):
+            write_events_csv([*sample_events[:2], bad], path)
+        with pytest.raises(ValueError, match="^event with empty id field: "):
+            EventTable.from_events([bad])
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
