@@ -550,13 +550,13 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
     task id, and the last (``derive_profiles`` may move ``join`` back to a
     registration date). ``active_day_count`` counts each volunteer's
     distinct (day, volunteer) keys, sorted in place. ``explored`` counts the
-    (volunteer, project) pairs, grouped by one stable argsort of their key,
-    and ``regular`` those whose last event falls on a later UTC day than
-    their first: tasks on two or more days. In time order those two events
-    are the ends of the pair's run in the argsort. Each key is built in
-    place and each temporary dropped once read, so at most three
-    event-length ones are held at once. A ``VolunteerProfile`` is built only
-    when a volunteer is looked up.
+    (volunteer, project) pairs, grouped by one argsort of their key, and
+    ``regular`` those whose last event falls on a later UTC day than their
+    first: tasks on two or more days. In time order those two events are
+    the smallest and largest positions in the pair's run of the argsort.
+    Each key is built in place and each temporary dropped once read, so at
+    most three event-length ones are held at once. A ``VolunteerProfile`` is
+    built only when a volunteer is looked up.
     """
 
     def __init__(self, events: EventTable):
@@ -583,16 +583,14 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
         pair_key = volunteer.astype(np.int64)
         pair_key *= project_count
         pair_key += project
-        by_pair = np.argsort(pair_key, kind="stable")
+        by_pair = np.argsort(pair_key)
         pair_key = pair_key[by_pair]
         runs = _group_starts(pair_key)
         del pair_key
         self._pair_tasks = np.diff(np.append(runs, len(events)))
-        # a stable sort of events in time order: each run starts with its
-        # pair's first event and ends with its last (for no events, no runs)
-        heads = by_pair[runs]
-        runs += self._pair_tasks - 1
-        tails = by_pair[runs]
+        # events are in time order, so a pair's first and last events are the
+        # smallest and largest positions in its run (for no events, no runs)
+        heads, tails = (end.reduceat(by_pair, runs) if len(runs) else runs for end in (np.minimum, np.maximum))
         del by_pair, runs
         self._pair_volunteer, self._pair_project = volunteer[heads], project[heads]
         pair_regular = timestamp[tails] // DAY_MICROS > timestamp[heads] // DAY_MICROS

@@ -767,10 +767,10 @@ def _replacing(*paths: Path) -> Iterator[list[Path]]:
 def _write_cache(path: Path, body: bytes) -> None:
     """Write a page's response bytes, as served, through ``_replacing``, so a reader never sees part of them.
 
-    Not fsynced: a page that a power loss leaves empty or cut short no
-    longer decodes, and the crawl then fetches it again.
+    The directory must exist: ``_api_pages`` makes it once per crawl. Not
+    fsynced: a page that a power loss leaves empty or cut short no longer
+    decodes, and the crawl then fetches it again.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     with _replacing(path) as (temp,):
         temp.write_bytes(body)
 
@@ -870,8 +870,11 @@ def fetch_api(
 
     Pages ``GET <base>/api/taskrun?limit=L&offset=O`` until a short page,
     up to ``_API_WINDOW`` (4) requests at a time, and reads the pages in
-    offset order (see ``_api_pages``). Transient failures are retried with
-    exponential backoff, at most MAX_API_ATTEMPTS attempts per page. With a
+    offset order (see ``_api_pages``). A lenient crawl queues the next
+    pages as soon as a page arrives, so that page's cache write and record
+    pass overlap the next requests; a strict one once its records are
+    read. Transient failures are retried with exponential backoff, at most
+    MAX_API_ATTEMPTS attempts per page. With a
     ``cache_dir`` configured every page's response bytes are written to disk
     as served and reused on later runs, so an analysis stays reproducible
     after the platform goes away. ``session.get(url, timeout=...)``, called
@@ -1019,29 +1022,47 @@ def _api_pages(
     no request. The page at the head is retried, if need be, by waiting
     here and calling ``attempt(url)`` again, and cached here, so ``sleep``
     is called from this thread alone, and a page past the end, whose answer
-    is discarded, is requested at most once and never cached.
+    is discarded, is requested at most once and never cached. A lenient
+    crawl tops the queue up as soon as the head page's records are known,
+    so its cache write and the reading of its records overlap the next
+    requests; a strict one tops it up only once the records are read, so a
+    bad record fails before any page more than ``_API_WINDOW - 1`` past it
+    is requested. The cache directory is made before the first page is
+    written, so a crawl that caches no page makes none.
     """
     base = config.location.rstrip("/")
     cache_dir = Path(config.cache_dir) if config.cache_dir is not None else None
     keys = _field_keys(config.field_map)
     offsets = count(0, config.page_size)
     queued: deque[tuple[str, Any]] = deque()  # (url, records or future) of the pages ahead
-    width, short_page_queued = 1, False
-    while True:
+    short_page_queued = cache_made = False
+
+    def queue(width: int) -> None:
+        nonlocal short_page_queued
         while len(queued) < width and not short_page_queued:
             url = f"{base}/api/taskrun?limit={config.page_size}&offset={next(offsets)}"
             page = _cached_page(cache_dir, url)
             short_page_queued = page is not None and len(page) < config.page_size
             queued.append((url, attempt(url) if page is None else page))
+
+    queue(1)
+    while True:
         url, page = queued.popleft()
+        body = None
         if not isinstance(page, list):
             page, body = _retried(url, attempt, sleep, page.result())
-            if cache_dir is not None:
-                _write_cache(_cache_path(cache_dir, url), body)
+        last = len(page) < config.page_size
+        if not (last or config.strict):
+            queue(_API_WINDOW)
+        if body is not None and cache_dir is not None:
+            if not cache_made:
+                cache_dir.mkdir(parents=True, exist_ok=True)
+                cache_made = True
+            _write_cache(_cache_path(cache_dir, url), body)
         yield url, _json_fields(enumerate(page), keys)
-        if len(page) < config.page_size:
+        if last:
             return
-        width = _API_WINDOW
+        queue(_API_WINDOW)
 
 
 def load_events(config: IngestConfig) -> IngestResult:

@@ -20,6 +20,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import Future
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
@@ -608,6 +609,16 @@ class TestCache:
             fetch_api(config(cache_dir=str(tmp_path)), session=session, sleep=lambda s: None)
         assert not any(tmp_path.iterdir())
 
+    def test_cache_directory_made_only_for_a_page_to_write(self, tmp_path):
+        cache_dir = tmp_path / "cache" / "pages"
+        session = StubSession({page_url(0): [StubResponse(None, status=404)]})
+        with pytest.raises(NetworkError):
+            fetch_api(config(cache_dir=str(cache_dir)), session=session, sleep=lambda s: None)
+        assert not (tmp_path / "cache").exists()
+        records = [record(i) for i in range(250)]
+        fetch_api(config(cache_dir=str(cache_dir)), session=paged_session(records, 100), sleep=lambda s: None)
+        assert sorted(cache_dir.iterdir()) == sorted(ingest._cache_path(cache_dir, page_url(o)) for o in (0, 100, 200))
+
 
 class TestWindow:
     """Pages are requested up to ``_API_WINDOW`` at a time and read strictly in offset order."""
@@ -652,6 +663,33 @@ class TestWindow:
         assert_crawled(session.calls, 500)
         assert sorted(tmp_path.iterdir()) == sorted(ingest._cache_path(tmp_path, page_url(o)) for o in range(0, 600, 100))
 
+
+    @pytest.mark.parametrize(
+        "strict, requested_at_each_page",
+        [(False, [5, 6, 7, 8, 9, 9]), (True, [1, 5, 6, 7, 8, 9])],
+        ids=["lenient", "strict"],
+    )
+    def test_when_the_next_pages_are_requested(self, strict, requested_at_each_page):
+        """A lenient crawl queues the next pages as soon as a page arrives; a strict one once its records are read."""
+        records = [record(i) for i in range(10)]
+        requested = []
+
+        def attempt(url):
+            requested.append(url)
+            offset = int(url.rsplit("=", 1)[1])
+            page = records[offset : offset + 2]
+            answered = Future()
+            answered.set_result((page, json.dumps(page).encode()))
+            return answered
+
+        pages = ingest._api_pages(config(page_size=2, strict=strict), attempt, lambda s: None)
+        seen = []
+        for _, fields in pages:
+            seen.append(len(requested))
+            list(fields)  # read the page's records
+        assert seen == requested_at_each_page
+        # the same requests either way: pages 0-5, the short one last, and 3 past it
+        assert requested == [page_url(offset, 2) for offset in range(0, 18, 2)]
 
     def test_pages_answered_out_of_order_are_read_in_order(self):
         records = [record(i) for i in range(1000)]
