@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .events import (
 )
 from .ingest import (
     IngestConfig,
+    IngestResult,
     MalformedRowError,
     NetworkError,
     SchemaError,
@@ -137,16 +139,9 @@ def _add_analysis_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> IngestConfig:
-    if args.api_url:
-        return IngestConfig(
-            kind="api",
-            location=args.api_url,
-            page_size=args.page_size,
-            strict=args.strict,
-            cache_dir=args.cache_dir,
-        )
-    kind = "csv-file" if args.format == "csv" else "jsonl-file"
-    return IngestConfig(kind=kind, location=args.input, strict=args.strict)
+    """The source the flags name; a file loader reads no page size or cache directory."""
+    kind, location = ("api", args.api_url) if args.api_url else (f"{args.format}-file", args.input)
+    return IngestConfig(kind, location, page_size=args.page_size, strict=args.strict, cache_dir=args.cache_dir)
 
 
 def _build_report(args: argparse.Namespace):
@@ -163,17 +158,9 @@ def _build_report(args: argparse.Namespace):
     snapshot = build_snapshot(
         result.events, observation_end=args.observation_end, exclusions=args.exclude_project
     )
-    options = ReportOptions(
-        availability=args.availability,
-        bootstrap_resamples=args.bootstrap_resamples,
-        confidence_level=args.confidence_level,
-        seed=args.seed,
-    )
-    stats = {
-        "total_records": result.total_records,
-        "dropped_anonymous": result.dropped_anonymous,
-        "skipped_malformed": result.skipped_malformed,
-    }
+    # each option's flag has the field's name as its dest, and the tallies are the fields after events
+    options = ReportOptions(**{f.name: getattr(args, f.name) for f in fields(ReportOptions)})
+    stats = {f.name: getattr(result, f.name) for f in fields(IngestResult)[1:]}
     del result  # the snapshot holds a copy of the events: free the loaded table for the report
     return build_report(
         snapshot, options, source_stats=stats, registration_dates=registrations

@@ -524,11 +524,6 @@ def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    """Index of the first element of each run of equal values."""
-    return np.flatnonzero(_first_of_runs(sorted_keys))
-
-
 def _first_and_last(groups: np.ndarray, size: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest and largest of the integer ``values`` in each of ``size`` groups."""
     first = np.full(size, np.iinfo(values.dtype).max, dtype=values.dtype)
@@ -585,7 +580,7 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
         pair_key += project
         by_pair = np.argsort(pair_key)
         pair_key = pair_key[by_pair]
-        runs = _group_starts(pair_key)
+        runs = np.flatnonzero(_first_of_runs(pair_key))
         del pair_key
         self._pair_tasks = np.diff(np.append(runs, len(events)))
         # events are in time order, so a pair's first and last events are the
@@ -784,26 +779,12 @@ def derive_profiles(
     inherited_count = np.bincount(pair_project, minlength=project_count) - recruited_count
     recruited_tasks = np.zeros(project_count, dtype=np.int64)
     np.add.at(recruited_tasks, pair_project[recruit], pair_tasks[recruit])
-    project_first, project_last = _first_and_last(project, project_count, timestamp)
-    projects = {
-        project_id: ProjectProfile(
-            project_id=project_id,
-            first_event=from_micros(first_micros),
-            last_event=from_micros(last_micros),
-            task_count=tasks,
-            recruited_count=recruited,
-            inherited_count=inherited,
-            recruited_task_count=recruited_task_count,
-            _profiles=volunteers,
-        )
-        for project_id, first_micros, last_micros, tasks, recruited, inherited, recruited_task_count in zip(
-            events.project_ids,
-            project_first.tolist(),
-            project_last.tolist(),
-            task_count.tolist(),
-            recruited_count.tolist(),
-            inherited_count.tolist(),
-            recruited_tasks.tolist(),
-        )
-    }
-    return volunteers, projects
+    first, last = _first_and_last(project, project_count, timestamp)
+    # one row per project, its columns in ProjectProfile's field order
+    rows = zip(
+        events.project_ids,
+        map(from_micros, first.tolist()),
+        map(from_micros, last.tolist()),
+        *(column.tolist() for column in (task_count, recruited_count, inherited_count, recruited_tasks)),
+    )
+    return volunteers, {row[0]: ProjectProfile(*row, volunteers) for row in rows}

@@ -78,8 +78,6 @@ DEFAULT_FIELD_MAP: dict[str, str] = {
     "timestamp": "finish_time",
 }
 
-CSV_HEADER = list(CANONICAL_FIELDS)
-
 MAX_API_ATTEMPTS = 5
 BACKOFF_BASE_SECONDS = 0.5
 #: The longest wait before a retry that a 429's or 503's ``Retry-After`` may ask for; a longer one ends the crawl.
@@ -1097,7 +1095,7 @@ def write_events_csv(events: Iterable[TaskExecutionEvent], path: str | Path) -> 
     count = 0
     with _replacing(Path(path)) as (temp,), temp.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
+        writer.writerow(CANONICAL_FIELDS)
         for event in events:
             ids = (event.volunteer_id, event.task_id, event.project_id)
             if not all(ids):

@@ -184,10 +184,6 @@ def _balance_json(value: BalanceValue) -> float | str:
     return value
 
 
-def _percent(fraction) -> float:
-    return float(round(fraction, 4))
-
-
 def _ecdf_doc(curve: Ecdf | None) -> dict | None:
     if curve is None:
         return None
@@ -230,7 +226,7 @@ def _document(report: MetricsReport) -> dict:
     """
     dist = report.distribution
     classes = {
-        dimension: {cls.value: {"count": counts[cls], "percent": _percent(pct[cls])} for cls in members}
+        dimension: {cls.value: {"count": counts[cls], "percent": float(round(pct[cls], 4))} for cls in members}
         for dimension, (members, counts, pct) in _class_dimensions(dist).items()
     }
     activity = [

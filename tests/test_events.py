@@ -24,7 +24,7 @@ from crowdmetrics.events import (
     parse_timestamp,
 )
 from crowdmetrics.ingest import IngestConfig, fetch_api, load_events
-from testkit import EPOCH, dedupe_oracle, ev, ev_at, ts, volunteer_oracle
+from testkit import EPOCH, dedupe_oracle, ev, ev_at, project_oracle, ts, volunteer_oracle
 
 
 class TestParseTimestamp:
@@ -424,6 +424,25 @@ class TestDeriveProfiles:
             assert profile.last_instant == fact["last"]
             assert profile.regular_project_count == fact["regular_projects"]
             assert dict(profile.per_project_task_count) == dict(fact["tasks_by_project"])
+
+    @given(any_event_lists)
+    def test_projects_match_raw_event_oracle(self, events):
+        _, projects = derive_profiles(build_snapshot(events))
+        oracle = project_oracle(dedupe_oracle(events))
+
+        assert set(projects) == set(oracle)
+        for pid, fact in oracle.items():
+            project = projects[pid]
+            assert project.project_id == pid
+            assert project.first_event == fact["first"]
+            assert project.last_event == fact["last"]
+            assert project.task_count == fact["tasks"]
+            assert project.recruited_count == len(fact["recruited"])
+            assert project.inherited_count == len(fact["inherited"])
+            assert project.recruited_task_count == fact["recruited_tasks"]
+            assert project.inherited_task_count == fact["tasks"] - fact["recruited_tasks"]
+            assert project.recruited == fact["recruited"]
+            assert project.inherited == fact["inherited"]
 
     @given(event_lists())
     def test_partition_and_totals(self, events):

@@ -619,6 +619,25 @@ class TestCache:
         fetch_api(config(cache_dir=str(cache_dir)), session=paged_session(records, 100), sleep=lambda s: None)
         assert sorted(cache_dir.iterdir()) == sorted(ingest._cache_path(cache_dir, page_url(o)) for o in (0, 100, 200))
 
+    @pytest.mark.parametrize("failing", range(5))
+    def test_interrupted_crawl_resumes_from_its_cache(self, tmp_path, failing):
+        records = [record(i) for i in range(450)]  # five pages, the last one short
+        before = [page_url(offset) for offset in range(0, 100 * failing, 100)]
+        clean = fetch_api(config(), session=paged_session(records, 100), sleep=lambda s: None)
+        session = paged_session(records, 100)
+        # the failing page gives up on the first crawl, and serves its records after that
+        session.script[page_url(100 * failing)][:0] = [ConnectionError("down")] * MAX_API_ATTEMPTS
+        cfg = config(cache_dir=str(tmp_path))
+        with no_thread_left(), pytest.raises(NetworkError, match="giving up"):
+            fetch_api(cfg, session=session, sleep=lambda s: None)
+        assert sorted(tmp_path.iterdir()) == sorted(ingest._cache_path(tmp_path, url) for url in before)
+        interrupted = len(session.calls)
+        with no_thread_left():
+            resumed = fetch_api(cfg, session=session, sleep=lambda s: None)
+        assert not set(session.calls[interrupted:]) & set(before)
+        assert resumed.events == clean.events
+        assert resumed.total_records == clean.total_records == 450
+
 
 class TestWindow:
     """Pages are requested up to ``_API_WINDOW`` at a time and read strictly in offset order."""

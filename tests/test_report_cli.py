@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import crowdmetrics
 from crowdmetrics import report as report_module
-from crowdmetrics.cli import main
+from crowdmetrics.cli import _config_from_args, build_parser, main
 from crowdmetrics.events import EventTable, PlatformSnapshot, VolunteerProfiles, build_snapshot
 from crowdmetrics.ingest import IngestConfig, format_timestamp, load_events, write_events_csv
 from crowdmetrics.report import (
@@ -805,6 +805,47 @@ class TestCli:
         paths = write_report(report, tmp_path / "library")
         for name in ARTIFACT_NAMES:
             assert (tmp_path / "cli" / name).read_bytes() == paths[name].read_bytes(), name
+
+    def test_every_report_flag_and_tally_reaches_the_artifacts(self, event_csv, tmp_path, capsys):
+        source = tmp_path / "events.csv"
+        rows = event_csv.read_bytes()
+        # one anonymous row and one whose timestamp does not parse, so no tally is 0
+        source.write_bytes(rows + b",ta,p0000,2014-03-01T00:00:00Z\r\nvb,tb,p0000,not-a-date\r\n")
+        flags = ("--availability", "all", "--bootstrap-resamples", "50", "--confidence-level", "0.9", "--seed", "7")
+        assert run_cli("report", "--input", str(source), *flags, "--out", str(tmp_path / "cli")) == 0
+        events = rows.count(b"\n") - 1  # less the header
+        stats = {"total_records": events + 2, "dropped_anonymous": 1, "skipped_malformed": 1}
+        result = load_events(IngestConfig(kind="csv-file", location=str(source)))
+        options = ReportOptions(availability="all", bootstrap_resamples=50, confidence_level=0.9, seed=7)
+        report = build_report(build_snapshot(result.events), options, source_stats=stats)
+        paths = write_report(report, tmp_path / "library")
+        for name in ARTIFACT_NAMES:
+            assert (tmp_path / "cli" / name).read_bytes() == paths[name].read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--input", "events.csv"], {"kind": "csv-file", "location": "events.csv", "strict": False}),
+            (
+                ["--input", "events.jsonl", "--format", "jsonl"],
+                {"kind": "jsonl-file", "location": "events.jsonl", "strict": False},
+            ),
+            (["--input", "events.csv", "--strict"], {"kind": "csv-file", "location": "events.csv", "strict": True}),
+            (
+                ["--api-url", "http://platform.test/", "--page-size", "7", "--cache-dir", "pages", "--strict"],
+                {
+                    "kind": "api",
+                    "location": "http://platform.test/",
+                    "strict": True,
+                    "page_size": 7,
+                    "cache_dir": "pages",
+                },
+            ),
+        ],
+    )
+    def test_source_flags_reach_the_ingest_config(self, argv, expected):
+        config = _config_from_args(build_parser().parse_args(["report", *argv, "--out", "out"]))
+        assert {name: getattr(config, name) for name in expected} == expected
 
     def test_excluding_every_project_is_data_error(self, event_csv, tmp_path, capsys):
         excluded = [arg for k in range(6) for arg in ("--exclude-project", f"p{k:04d}")]

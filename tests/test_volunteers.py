@@ -17,7 +17,7 @@ from crowdmetrics.volunteers import (
     relative_activity_duration,
 )
 from test_events import event_lists
-from testkit import class_oracle, ev, ts, volunteer_oracle
+from testkit import class_oracle, dedupe_oracle, ev, project_oracle, ts, volunteer_oracle
 
 
 def profiles_from(events):
@@ -171,6 +171,20 @@ class TestComputeVolunteerMetrics:
             assert (m.platform_class, m.project_class) == class_oracle(
                 len(fact["days"]), len(fact["projects"]), fact["regular_projects"]
             )
+
+    @given(event_lists())
+    def test_available_projects_match_the_oracles_alone(self, events):
+        snap, volunteers, projects = profiles_from(events)
+        deduped = dedupe_oracle(events)
+        joins = {vid: fact["join"] for vid, fact in volunteer_oracle(deduped).items()}
+        ends = [fact["last"] for fact in project_oracle(deduped).values()]
+        for mode in ("overlap", "all"):
+            metrics = compute_volunteer_metrics(volunteers, projects, snap.observation_end, mode)
+            assert set(metrics) == set(joins)
+            for vid, join in joins.items():
+                # overlap: the projects whose last event is not before the volunteer joins
+                available = len(ends) if mode == "all" else sum(1 for end in ends if end >= join)
+                assert metrics[vid].available_projects == available
 
     @given(event_lists())
     def test_ordering_invariants(self, events):

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the package's own implementations: the
 Gini oracle is the quadratic pairwise definition, the volunteer oracle
 recounts days and projects straight from raw event tuples with collections
-primitives, and the class oracle is the paper's if/elif chain. Tests compare
-the fast production code against these.
+primitives, the project oracle recounts each project's window, tasks and
+recruitment the same way, and the class oracle is the paper's if/elif
+chain. Tests compare the fast production code against these.
 """
 
 from __future__ import annotations
@@ -83,6 +84,39 @@ def volunteer_oracle(events) -> dict[str, dict]:
         fact["regular_projects"] = sum(
             1 for days in fact["days_by_project"].values() if len(days) >= 2
         )
+    return facts
+
+
+def project_oracle(events) -> dict[str, dict]:
+    """Recount per-project facts directly from raw (deduplicated) events.
+
+    Returns per project: first and last instants, task count, the set of
+    volunteers it recruited (those whose first project, as
+    ``volunteer_oracle`` picks it, is this one), the set it inherited (its
+    other participants), and the tasks its recruited volunteers did in it.
+    """
+    first_project = {vid: fact["first_project"] for vid, fact in volunteer_oracle(events).items()}
+    facts: dict[str, dict] = {}
+    for event in events:
+        fact = facts.setdefault(
+            event.project_id,
+            {
+                "first": event.timestamp,
+                "last": event.timestamp,
+                "tasks": 0,
+                "recruited": set(),
+                "inherited": set(),
+                "recruited_tasks": 0,
+            },
+        )
+        fact["first"] = min(fact["first"], event.timestamp)
+        fact["last"] = max(fact["last"], event.timestamp)
+        fact["tasks"] += 1
+        if first_project[event.volunteer_id] == event.project_id:
+            fact["recruited"].add(event.volunteer_id)
+            fact["recruited_tasks"] += 1
+        else:
+            fact["inherited"].add(event.volunteer_id)
     return facts
 
 
