@@ -134,13 +134,9 @@ def _canonical_micros(buf: np.ndarray, starts: np.ndarray, widths: np.ndarray) -
 
     The kernel of ``parse_canonical_timestamps``, for callers that hold the
     bytes already. The values of each width in ``_ISO_WIDTHS`` are gathered
-    into one matrix and read by ``_fixed_width_micros``, all at once when
-    every value has the same width; a value of any other width is invalid,
-    and an invalid value reads 0.
+    into one matrix and read by ``_fixed_width_micros``; a value of any
+    other width is invalid, and an invalid value reads 0.
     """
-    if len(widths) and widths[0] in _ISO_WIDTHS and (widths == widths[0]).all():
-        # one form throughout, as in a file this package writes: no rows to pick out
-        return _fixed_width_micros(sliding_window_view(buf, int(widths[0]))[starts])
     micros = np.zeros(len(starts), dtype=np.int64)
     valid = np.zeros(len(starts), dtype=bool)
     for width in _ISO_WIDTHS:
@@ -279,8 +275,6 @@ def _compact(ids: Sequence[str], codes: np.ndarray) -> tuple[Sequence[str], np.n
 def _sort_codes(ids: tuple[str, ...], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
     """Re-code against the same ids sorted as Python strings."""
     order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-    if np.array_equal(order, np.arange(len(ids))):
-        return ids, codes
     remap = np.empty(len(ids), dtype=np.int32)
     remap[order] = np.arange(len(ids), dtype=np.int32)
     return tuple(map(ids.__getitem__, order.tolist())), remap[codes]
@@ -446,7 +440,8 @@ class VolunteerProfile:
 
     ``join_instant`` is the first event unless ``derive_profiles`` applied a
     registration-date override; it never exceeds ``last_instant``. The day
-    set ``active_days`` is built from the snapshot when first read.
+    set ``active_days`` and its size ``active_day_count`` are built from the
+    snapshot when first read, so a lookup scans no events.
     """
 
     volunteer_id: str
@@ -454,7 +449,6 @@ class VolunteerProfile:
     last_instant: datetime
     per_project_task_count: dict[str, int]
     first_project: str
-    active_day_count: int
     regular_project_count: int  # projects with tasks on at least two distinct days
     _profiles: VolunteerProfiles = field(repr=False, compare=False)
 
@@ -470,6 +464,10 @@ class VolunteerProfile:
     @cached_property
     def active_days(self) -> set[date]:
         return self._profiles.days(self.volunteer_id)
+
+    @property
+    def active_day_count(self) -> int:
+        return len(self.active_days)
 
 
 @dataclass
@@ -543,12 +541,13 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
     are the timestamps and the project at each volunteer's smallest and
     largest snapshot position: the first event, ties going to the smaller
     task id, and the last (``derive_profiles`` may move ``join`` back to a
-    registration date). ``active_day_count`` counts each volunteer's
-    distinct (day, volunteer) keys, sorted in place. ``explored`` counts the
-    (volunteer, project) pairs, grouped by one argsort of their key, and
-    ``regular`` those whose last event falls on a later UTC day than their
-    first: tasks on two or more days. In time order those two events are
-    the smallest and largest positions in the pair's run of the argsort.
+    registration date). ``multi_day`` marks the volunteers whose last event
+    falls on a later UTC day than their first, read before any such move:
+    tasks on two or more days. ``explored`` counts the (volunteer, project)
+    pairs, grouped by one argsort of their key, and ``regular`` the pairs
+    with tasks on two or more days by the same rule. In time order a pair's
+    first and last events are the smallest and largest positions in its
+    run of the argsort.
     Each key is built in place and each temporary dropped once read, so at
     most three event-length ones are held at once. A ``VolunteerProfile`` is
     built only when a volunteer is looked up.
@@ -564,15 +563,7 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
         first, last = _first_and_last(volunteer, count, np.arange(len(events)))
         self.join, self.last = timestamp[first], timestamp[last]
         self.first_project = project[first]
-        # one sorted key per (day, volunteer) event; the floor % gives the volunteer back
-        volunteer_day = timestamp // DAY_MICROS
-        volunteer_day *= count
-        volunteer_day += volunteer
-        volunteer_day.sort()
-        distinct = volunteer_day[_first_of_runs(volunteer_day)]
-        del volunteer_day
-        self.active_day_count = np.bincount(distinct % count, minlength=count)
-        del distinct
+        self.multi_day = self.last // DAY_MICROS > self.join // DAY_MICROS
 
         # (volunteer, project) pairs, sorted by volunteer and then project
         pair_key = volunteer.astype(np.int64)
@@ -616,7 +607,6 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
                 )
             },
             first_project=project_ids[self.first_project[code]],
-            active_day_count=int(self.active_day_count[code]),
             regular_project_count=int(self.regular[code]),
             _profiles=self,
         )

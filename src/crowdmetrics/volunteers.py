@@ -138,15 +138,16 @@ def relative_activity_duration(volunteer: VolunteerProfile, observation_end: dat
 
 
 def _class_codes(
-    active_days: np.ndarray, explored: np.ndarray, regular: np.ndarray
+    multi_day: np.ndarray, explored: np.ndarray, regular: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-volunteer class codes (arrays, or single counts): indices into the enums' members.
+    """Per-volunteer class codes (arrays, or single values): indices into the enums' members.
 
-    Platform: regular (0) on >= 2 active days, transient (1) otherwise.
+    ``multi_day`` is a boolean: tasks on two or more distinct UTC days.
+    Platform: regular (0) when it holds, transient (1) otherwise.
     Project: multi-project regular (0) when regular in >= 2 projects, else
     multi-project explorer (1) when >= 2 were touched, else one-project (2).
     """
-    platform = np.where(active_days >= 2, 0, 1)
+    platform = np.where(multi_day, 0, 1)
     project = np.where(regular >= 2, 0, np.where(explored >= 2, 1, 2))
     return platform, project
 
@@ -155,7 +156,7 @@ def classify(
     active_day_count: int, explored_projects: int, regular_projects: int
 ) -> tuple[PlatformClass, ProjectClass]:
     """Platform- and project-dimension classes of one volunteer (see ``_class_codes``)."""
-    platform, project = _class_codes(active_day_count, explored_projects, regular_projects)
+    platform, project = _class_codes(active_day_count >= 2, explored_projects, regular_projects)
     return _PLATFORM_CLASSES[platform], _PROJECT_CLASSES[project]
 
 
@@ -181,7 +182,7 @@ class VolunteerMetricsTable(Mapping[str, VolunteerMetrics]):
         self.volunteer_ids, self.explored, self.regular = volunteers.ids, volunteers.explored, volunteers.regular
         self.available = _available(volunteers.join, projects, availability)
         self.duration = _activity_duration(volunteers.join, volunteers.last, to_micros(observation_end))
-        self.platform, self.project = _class_codes(volunteers.active_day_count, self.explored, self.regular)
+        self.platform, self.project = _class_codes(volunteers.multi_day, self.explored, self.regular)
 
     def __len__(self) -> int:
         return len(self.volunteer_ids)

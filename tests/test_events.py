@@ -475,6 +475,31 @@ class TestDeriveProfiles:
         with pytest.raises(KeyError, match="nope"):
             volunteers.members("nope", recruited)
 
+    def test_a_lookup_scans_no_events(self, monkeypatch):
+        events = [
+            ev("amy", "t1", "p1", "2014-01-01T10:00"),
+            ev("amy", "t2", "p2", "2014-01-02T10:00"),
+            ev("amy", "t3", "p2", "2014-01-03T10:00"),
+            ev("ben", "t4", "p1", "2014-01-03T11:00"),
+        ]
+        volunteers, _ = derive_profiles(build_snapshot(events))
+
+        class Scanned(Exception):
+            pass
+
+        def days(self, volunteer_id):
+            raise Scanned(volunteer_id)
+
+        monkeypatch.setattr(VolunteerProfiles, "days", days)
+        amy = volunteers["amy"]
+        assert amy.per_project_task_count == {"p1": 1, "p2": 2}
+        assert (amy.explored_project_count, amy.regular_project_count, amy.event_count) == (2, 1, 3)
+        assert (amy.join_instant, amy.last_instant) == (ts("2014-01-01T10:00"), ts("2014-01-03T10:00"))
+        assert amy.first_project == "p1"
+        # only the day set, and the day count, may read the events
+        with pytest.raises(Scanned, match="amy"):
+            amy.active_days
+
     def test_pure_function_of_snapshot(self):
         events = [ev_at(f"v{i % 3}", f"t{i}", f"p{i % 2}", i * 3600) for i in range(20)]
         snap = build_snapshot(events)
@@ -605,6 +630,23 @@ class TestRegistrationOverride:
         snap = build_snapshot(events)
         volunteers, _ = derive_profiles(snap, {"v1": ts("2014-03-10T12:00:00")})
         assert volunteers["v1"].join_instant == ts("2014-03-10T12:00:00")
+
+    def test_an_override_does_not_make_a_one_day_volunteer_a_platform_regular(self):
+        from crowdmetrics.volunteers import PlatformClass, compute_volunteer_metrics
+
+        events = [
+            ev("v", "t1", "p", "2014-01-05T09:00:00"),
+            ev("v", "t2", "p", "2014-01-05T17:00:00"),
+            ev("w", "t3", "p", "2014-01-05T12:00:00"),
+            ev("w", "t4", "p", "2014-01-06T12:00:00"),
+        ]
+        snap = build_snapshot(events)
+        volunteers, projects = derive_profiles(snap, {"v": ts("2014-01-01T00:00:00")})
+        metrics = compute_volunteer_metrics(volunteers, projects, snap.observation_end)
+        assert volunteers["v"].join_instant == ts("2014-01-01T00:00:00")
+        assert volunteers["v"].active_day_count == 1
+        assert metrics["v"].platform_class is PlatformClass.TRANSIENT
+        assert metrics["w"].platform_class is PlatformClass.REGULAR
 
     def test_earlier_join_widens_availability_and_duration(self):
         from crowdmetrics.volunteers import compute_volunteer_metrics

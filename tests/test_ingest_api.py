@@ -18,8 +18,10 @@ import socket
 import ssl
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+from collections import Counter
 from concurrent.futures import Future
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
@@ -29,6 +31,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 import pytest
+from hypothesis import given, strategies as st
 
 import crowdmetrics
 from crowdmetrics import ingest
@@ -730,6 +733,78 @@ class TestWindow:
             sys.setswitchinterval(interval)
         assert [event.task_id for event in result.events] == [f"t{i}" for i in range(1000)]
         assert_crawled(session.calls, 1000, limit=10)
+
+
+class LockedSession(StubSession):
+    """A ``StubSession`` that takes each reply under a lock, as a crawl's worker threads call it at once."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.lock = threading.Lock()
+
+    def get(self, url, timeout=30):
+        with self.lock:
+            return super().get(url, timeout)
+
+
+#: Faults another attempt clears: each makes the answer for a page, given its body, and the ``Retry-After`` it asks.
+FAULTS = {
+    "reset": (lambda body: ConnectionResetError("reset by peer"), 0),
+    "500": (lambda body: StubResponse(b"", status=500), 0),
+    "503": (lambda body: StubResponse(b"", status=503), 0),
+    "429": (lambda body: StubResponse(b"", status=429), 0),
+    "429, Retry-After: 3": (lambda body: StubResponse(b"", status=429, headers={"Retry-After": "3"}), 3),
+    "503, Retry-After: 1": (lambda body: StubResponse(b"", status=503, headers={"Retry-After": "1"}), 1),
+    "cut body": (lambda body: StubResponse(body[: len(body) // 2]), 0),
+}
+
+
+@st.composite
+def faulted_crawls(draw, page_size=5):
+    """Records for a crawl of at most 5 pages, and up to ``MAX_API_ATTEMPTS - 1`` fault names for each page.
+
+    The list covers every page read and the ``_API_WINDOW - 1`` pages past the last one.
+    """
+    records = [record(i) for i in range(draw(st.integers(0, 5 * page_size - 1)))]
+    pages = len(records) // page_size + 1 + ingest._API_WINDOW - 1
+    faults = st.lists(st.sampled_from(sorted(FAULTS)), max_size=MAX_API_ATTEMPTS - 1)
+    return records, draw(st.lists(faults, min_size=pages, max_size=pages))
+
+
+class TestComposedFaults:
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    @given(faulted_crawls())
+    def test_faults_below_the_retry_limit_change_nothing(self, cached, crawl):
+        records, faults = crawl
+        page_size, read = 5, len(records) // 5 + 1
+        urls = [page_url(page * page_size, page_size) for page in range(len(faults))]
+        bodies = [json.dumps(records[page * page_size : (page + 1) * page_size]).encode() for page in range(len(faults))]
+        session = LockedSession(
+            {
+                url: [FAULTS[name][0](body) for name in names] + [StubResponse(body)]
+                for url, body, names in zip(urls, bodies, faults)
+            }
+        )
+        clean = fetch_api(config(page_size=page_size), session=paged_session(records, page_size), sleep=lambda s: None)
+        sleeps = []
+        with tempfile.TemporaryDirectory() as cache_dir, no_thread_left():
+            cfg = config(page_size=page_size, cache_dir=cache_dir if cached else None)
+            result = fetch_api(cfg, session=session, sleep=sleeps.append)
+            cache = sorted(Path(cache_dir).iterdir())
+        assert result.events == clean.events
+        assert (result.total_records, result.loaded) == (clean.total_records, clean.loaded)
+        assert cache == (sorted(ingest._cache_path(Path(cache_dir), url) for url in urls[:read]) if cached else [])
+        # each page read waits max(backoff, Retry-After) before each retry, in page order
+        assert sleeps == [
+            max(BACKOFF_BASE_SECONDS * 2**retry, FAULTS[name][1])
+            for names in faults[:read]
+            for retry, name in enumerate(names)
+        ]
+        # a page read is requested once per fault and once more; a page past the end at most once
+        requests = Counter(session.calls)
+        assert session.calls[0] == urls[0]
+        assert [requests[url] for url in urls[:read]] == [len(names) + 1 for names in faults[:read]]
+        assert set(requests) <= set(urls) and all(requests[url] <= 1 for url in urls[read:])
 
 
 class PagedHandler(BaseHTTPRequestHandler):
