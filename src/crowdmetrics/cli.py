@@ -10,6 +10,7 @@ API, empty dataset).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields
 from datetime import date
@@ -64,9 +65,16 @@ def _flag(convert, check=None, message=""):
     return flag
 
 
+def _date(raw: str) -> date:
+    """A ``YYYY-MM-DD`` date on every Python; from 3.11 ``date.fromisoformat`` reads other forms too."""
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", raw):
+        raise ValueError(f"not a YYYY-MM-DD date: {raw!r}")
+    return date.fromisoformat(raw)  # its messages name a month or day out of range
+
+
 _timestamp_flag = _flag(parse_timestamp)
 _api_url_flag = _flag(_api_url)
-_date_flag = _flag(date.fromisoformat)
+_date_flag = _flag(_date)
 # NaN compares false, so it fails every range check
 _confidence_level = _flag(float, lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
 _positive_int = _flag(int, lambda v: v >= 1, "must be >= 1")

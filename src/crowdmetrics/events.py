@@ -31,7 +31,7 @@ class EmptyDatasetError(ValueError):
 
 
 class InvalidTimestampError(ValueError):
-    """A timestamp string could not be parsed as ISO-8601."""
+    """A timestamp string is not in the package's grammar (see ``parse_timestamp``), or out of range."""
 
 
 class EventAfterObservationEndError(ValueError):
@@ -74,33 +74,27 @@ def _day(day_number: int) -> date:
 
 
 def parse_timestamp(raw: str) -> datetime:
-    """Parse an ISO-8601 timestamp into a timezone-aware UTC datetime.
+    """Parse one timestamp into a timezone-aware UTC datetime: ``parse_canonical_timestamps`` on one value.
 
-    Accepts both the ``2014-07-17T10:00:00Z`` and ``2014-07-17 10:00:00``
-    forms. Naive timestamps are taken to be UTC; aware ones are converted.
+    The grammar is RFC 3339's ``date-time`` with ``t`` or a space allowed
+    for ``T``, ``z`` for ``Z``, and no zone meaning UTC: ``YYYY-MM-DD``,
+    ``T``, ``t`` or a space, ``HH:MM:SS`` (no leap second), an optional
+    ``.`` and 1 to 6 digits, then nothing, ``Z``, ``z`` or ``±HH:MM`` (hours
+    at most 23, minutes at most 59). Surrounding whitespace is stripped.
 
     Raises:
-        InvalidTimestampError: if the string is not valid ISO-8601.
+        InvalidTimestampError: if the string is not in the grammar, or its
+            offset moves the instant out of years 1 to 9999.
     """
-    text = raw.strip()
-    if text.endswith(("Z", "z")):
-        # datetime.fromisoformat() rejects the Z suffix before Python 3.11
-        text = text[:-1] + "+00:00"
-    try:
-        parsed = datetime.fromisoformat(text)
-    except (ValueError, TypeError) as exc:
-        raise InvalidTimestampError(f"unparseable timestamp: {raw!r}") from exc
-    if parsed.tzinfo is None:
-        return parsed.replace(tzinfo=timezone.utc)
-    try:
-        return parsed.astimezone(timezone.utc)
-    except OverflowError as exc:  # the offset moves it past year 1 or 9999
-        raise InvalidTimestampError(f"timestamp out of range: {raw!r}") from exc
+    (micros,), (valid,) = parse_canonical_timestamps([raw])
+    if not valid:
+        reason = "timestamp out of range" if micros else "unparseable timestamp"  # see _canonical_micros
+        raise InvalidTimestampError(f"{reason}: {raw!r}")
+    return from_micros(int(micros))
 
 
-#: Widths of the fixed-width ISO-8601 forms the vectorised kernel reads: ``YYYY-MM-DD?HH:MM:SS``
-#: (``?`` is ``T`` or a space), then an optional ``.ffffff``, then nothing, ``Z`` or ``±HH:MM``.
-_ISO_WIDTHS = (19, 20, 25, 26, 27, 32)
+#: Width of the widest timestamp, ``YYYY-MM-DD?HH:MM:SS.ffffff±HH:MM``.
+_MAX_WIDTH = 32
 #: Character positions of the ``YYYY-MM-DD?HH:MM:SS`` part every form starts with.
 _DATE_TIME_SEPARATORS = ((4, "-"), (7, "-"), (13, ":"), (16, ":"))
 _DATE_TIME_NUMBERS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
@@ -110,22 +104,18 @@ _MAX_MICROS = to_micros(datetime.max)
 
 
 def parse_canonical_timestamps(raw: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch microseconds of the values in one of the fixed-width ISO-8601 forms.
+    """Epoch microseconds of timestamps, each stripped of surrounding whitespace, in one vectorised pass.
 
-    Returns the int64 microseconds and a mask of the values parsed. A value
-    is parsed only when it is exactly one of the ``_ISO_WIDTHS`` forms and
-    ``parse_timestamp`` reads it as the same instant (see
-    ``_fixed_width_micros``); every other value, such as
-    ``2014-02-30T00:00:00Z``, ``...+24:00`` or a padded one, is left out of
-    the mask for ``parse_timestamp``, so callers keep its results and error
-    messages. The temporaries grow with ``len(raw)``: callers pass bounded
-    blocks.
+    Returns the int64 microseconds and a mask of the values parsed (see
+    ``_canonical_micros``). The temporaries grow with ``len(raw)``: callers
+    pass bounded blocks.
     """
+    raw = [value.strip() for value in raw]
     widths = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
-    widths[widths > _ISO_WIDTHS[-1]] = 0  # left out of the text, and no form is 0 wide
+    widths[widths > _MAX_WIDTH] = 0  # left out of the text, and no timestamp is 0 wide
     # "replace" encodes each non-ASCII code point as one "?", so every value
     # keeps its width and fails the digit or separator checks
-    text = "".join(compress(raw, widths.tolist())).encode("ascii", "replace")
+    text = "".join(compress(raw, widths.tolist())).encode("ascii", "replace") + bytes(6)  # for the zone reads
     return _canonical_micros(np.frombuffer(text, dtype=np.uint8), np.cumsum(widths) - widths, widths)
 
 
@@ -133,33 +123,39 @@ def _canonical_micros(buf: np.ndarray, starts: np.ndarray, widths: np.ndarray) -
     """Microseconds and validity of the values ``buf[starts[i] : starts[i] + widths[i]]`` of a uint8 buffer.
 
     The kernel of ``parse_canonical_timestamps``, for callers that hold the
-    bytes already. The values of each width in ``_ISO_WIDTHS`` are gathered
-    into one matrix and read by ``_fixed_width_micros``; a value of any
-    other width is invalid, and an invalid value reads 0.
+    bytes already. Each value's zone is read from its tail: a ``Z`` or ``z``
+    last, a sign sixth from last (``±HH:MM``), or else none; the width left
+    then gives the fraction's digits. The values of each (width, zone) form
+    are gathered into one matrix and read by ``_fixed_width_micros``. A
+    malformed value reads 0; a well-formed one that its offset moves out of
+    years 1 to 9999 is invalid but reads its (nonzero) instant, so that
+    ``parse_timestamp`` can say which.
     """
     micros = np.zeros(len(starts), dtype=np.int64)
     valid = np.zeros(len(starts), dtype=bool)
-    for width in _ISO_WIDTHS:
-        rows = np.flatnonzero(widths == width)
-        if len(rows):
-            micros[rows], valid[rows] = _fixed_width_micros(sliding_window_view(buf, width)[starts[rows]])
+    ends = starts + widths
+    last, sign = buf[ends - 1], buf[ends - 6]  # under 6 bytes, a value reads bytes before it: it has no form
+    zone = np.where((sign == ord("+")) | (sign == ord("-")), 6, (last == ord("Z")) | (last == ord("z")))
+    form = np.minimum(widths, _MAX_WIDTH + 1) * 8 + zone  # one key per (width, zone)
+    for key in np.flatnonzero(np.bincount(form)).tolist():
+        width, zone = divmod(key, 8)
+        if width - zone in (19, 21, 22, 23, 24, 25, 26):  # no fraction, or "." and 1 to 6 digits
+            group = np.flatnonzero(form == key)
+            micros[group], valid[group] = _fixed_width_micros(sliding_window_view(buf, width)[starts[group]], zone)
     return micros, valid
 
 
-def _fixed_width_micros(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Microseconds and validity of the rows of an ``(n, width)`` uint8 matrix, one ``_ISO_WIDTHS`` form.
+def _fixed_width_micros(chars: np.ndarray, zone: int) -> tuple[np.ndarray, np.ndarray]:
+    """Microseconds and validity of the rows of an ``(n, width)`` uint8 matrix, all of one form.
 
-    The width fixes the form: a ``.ffffff`` fraction when it is 26 or more,
-    and after it nothing, ``Z`` or ``±HH:MM`` (a naive value is UTC). A row
-    is valid when it spells a real instant in that form which
-    ``parse_timestamp`` reads as the same instant. So the rows left to it
-    include an offset hour over 23 or minute over 59 (Python reads
-    ``+01:60`` as ``+02:00``), an offset that moves the instant out of
-    years 1 to 9999, and a lowercase ``z``.
+    A valid row spells a real instant of ``parse_timestamp``'s grammar in
+    years 1 to 9999. ``zone`` is the length of the zone, 0, 1 or 6, read by
+    the caller off each row's tail; the width less it is 19, or 21 to 26
+    with a fraction. A malformed row reads 0, and a well-formed one out of
+    range reads its instant.
     """
     width = chars.shape[1]
-    fraction = width >= 26
-    zone = width - (26 if fraction else 19)  # 0, 1 or 6 characters
+    digits = width - zone - 20  # of the fraction, or -1 for none
     valid = np.ones(len(chars), dtype=bool)
 
     def number(start: int, stop: int) -> np.ndarray:
@@ -174,7 +170,7 @@ def _fixed_width_micros(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     year, month, day, hour, minute, second = (number(start, stop) for start, stop in _DATE_TIME_NUMBERS)
     for position, separator in _DATE_TIME_SEPARATORS:
         valid &= chars[:, position] == ord(separator)
-    valid &= (chars[:, 10] == ord("T")) | (chars[:, 10] == ord(" "))
+    valid &= ((chars[:, 10] | 0x20) == ord("t")) | (chars[:, 10] == ord(" "))  # "T" | 0x20 is "t"
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _MONTH_DAYS[np.clip(month - 1, 0, 11)] + (leap & (month == 2))
     valid &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
@@ -187,20 +183,17 @@ def _fixed_width_micros(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
     days = (era * 146_097 + day_of_era - 719_468).astype(np.int64)
     micros = (days * 86_400 + hour * 3_600 + minute * 60 + second) * 1_000_000
-    if fraction:
+    if digits > 0:
         valid &= chars[:, 19] == ord(".")
-        micros += number(20, 26)
-    if zone == 1:
-        valid &= chars[:, -1] == ord("Z")
-    elif zone == 6:
-        sign = chars[:, -6]
-        valid &= ((sign == ord("+")) | (sign == ord("-"))) & (chars[:, -3] == ord(":"))
+        micros += number(20, 20 + digits) * 10 ** (6 - digits)
+    if zone == 6:
+        valid &= chars[:, -3] == ord(":")
         hours, minutes = number(width - 5, width - 3), number(width - 2, width)
         valid &= (hours <= 23) & (minutes <= 59)
         offset = (hours * 60 + minutes).astype(np.int64) * 60_000_000
-        micros -= np.where(sign == ord("-"), -offset, offset)
-        valid &= (micros >= _MIN_MICROS) & (micros <= _MAX_MICROS)
-    return np.where(valid, micros, 0), valid
+        micros -= np.where(chars[:, -6] == ord("-"), -offset, offset)
+    micros = np.where(valid, micros, 0)
+    return micros, valid & ((micros >= _MIN_MICROS) & (micros <= _MAX_MICROS) if zone == 6 else True)
 
 
 def _key_bytes(keys: np.ndarray) -> np.ndarray:
@@ -611,10 +604,17 @@ class VolunteerProfiles(Mapping[str, VolunteerProfile]):
             _profiles=self,
         )
 
+    @cached_property
+    def _by_volunteer(self) -> tuple[np.ndarray, np.ndarray]:
+        """Event positions grouped by volunteer code, and where each code's group starts (and the last ends)."""
+        order = np.argsort(self._events.volunteer, kind="stable")
+        return order, np.searchsorted(self._events.volunteer[order], np.arange(len(self.ids) + 1))
+
     def days(self, volunteer_id: str) -> set[date]:
-        """Calendar days (UTC) with a task by the volunteer."""
+        """Calendar days (UTC) with a task by the volunteer; the first call groups the events by volunteer."""
         code = _code(self.ids, volunteer_id)
-        timestamps = self._events.timestamp[self._events.volunteer == code]
+        order, starts = self._by_volunteer
+        timestamps = self._events.timestamp[order[starts[code] : starts[code + 1]]]
         day_numbers = set((timestamps // DAY_MICROS).tolist())
         return {_day(number) for number in day_numbers}
 

@@ -43,7 +43,7 @@ from collections import defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain, count
+from itertools import chain, compress, count
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -61,9 +61,9 @@ from .events import (
     _decode_ids,
     _first_of_runs,
     _key_bytes,
+    from_micros,
     parse_canonical_timestamps,
     parse_timestamp,
-    to_micros,
 )
 
 logger = logging.getLogger(__name__)
@@ -234,25 +234,6 @@ def _fields_from_mapping(
     return volunteer, task, project, raw_timestamp
 
 
-def _parse_rest(
-    micros: np.ndarray, parsed: np.ndarray, raw: Callable[[int], str]
-) -> Iterator[tuple[int, InvalidTimestampError]]:
-    """Parse the values a vectorised pass left out, one at a time, into ``micros`` and ``parsed``.
-
-    ``raw(index)`` gives the value at ``index``; yields the index and error
-    of each value ``parse_timestamp`` rejects, in order. Yielded, not
-    listed: a held error's traceback holds this frame, and the frame a list
-    of the errors, a cycle only the garbage collector would free.
-    """
-    for index in np.flatnonzero(~parsed).tolist():
-        try:
-            micros[index] = to_micros(parse_timestamp(raw(index)))
-        except InvalidTimestampError as exc:
-            yield index, exc
-        else:
-            parsed[index] = True
-
-
 def _load_records(pages: Iterable[tuple[str, Iterable[tuple[int, Any]]]], strict: bool) -> IngestResult:
     """The one loop of the record-by-record loaders, over ``(source, [(position, fields)])`` pages.
 
@@ -261,8 +242,8 @@ def _load_records(pages: Iterable[tuple[str, Iterable[tuple[int, Any]]]], strict
     are coded in arrival order. Raw timestamps, and in strict mode their
     locations, are held until a block ends, after ``_PARSE_CHUNK`` records,
     at the end of the load and, in strict mode, at each page end; the
-    block's fixed-width ISO-8601 values are parsed in one vectorised pass
-    and the rest by ``parse_timestamp``. A malformed record is tallied or,
+    block's values are parsed in one pass of ``parse_canonical_timestamps``,
+    which strips each. A malformed record is tallied or,
     in strict mode, raised once the records before it are parsed, so the
     first bad record is the one reported, and a bad API page fails before
     any page more than ``_API_WINDOW - 1`` past it is requested. A lenient
@@ -286,10 +267,13 @@ def _load_records(pages: Iterable[tuple[str, Iterable[tuple[int, Any]]]], strict
         if not stamps:
             return
         micros, parsed = parse_canonical_timestamps(stamps)
-        for index, exc in _parse_rest(micros, parsed, stamps.__getitem__):
-            if strict:
+        if strict and not parsed.all():
+            index = int(parsed.argmin())
+            try:
+                parse_timestamp(stamps[index])  # raises the error that names the fault
+            except InvalidTimestampError as exc:
                 raise MalformedRowError(*locations[index], str(exc)) from exc
-            skipped += 1
+        skipped += len(parsed) - int(np.count_nonzero(parsed))
         micros_blocks.append(micros)
         kept_blocks.append(parsed)
         stamps.clear()
@@ -492,8 +476,10 @@ def _load_csv_bytes(handle, config: IngestConfig, source: str) -> IngestResult:
     quote (see ``_csv_blocks`` and ``_records``), a quote in the header, a
     record over the field size limit, a record whose comma count differs
     from the header's, a kept record's id that is empty, quoted, padded with
-    whitespace or over ``_MAX_ID_BYTES``, a kept record's quoted timestamp,
-    or, in strict mode, a timestamp that does not parse. So it reads only
+    whitespace or over ``_MAX_ID_BYTES``, a kept record's timestamp that
+    ``_canonical_micros`` rejects and that is quoted or padded with
+    whitespace (``csv.reader``'s loop strips it), or, in strict mode, any
+    timestamp it rejects. So it reads only
     files with no malformed record but for, in lenient mode, unparseable
     timestamps. An empty volunteer id is an anonymous record, whatever its
     other fields hold.
@@ -610,20 +596,17 @@ def _read_block(
 
     stamp_first, stamp_last = field("timestamp", named)
     micros, parsed = _canonical_micros(buf, stamp_first, stamp_last - stamp_first)
-
-    def stamp(index: int) -> str:
-        return buf[stamp_first[index] : stamp_last[index]].tobytes().decode("ascii")
-
-    skipped = 0
-    for index, _ in _parse_rest(micros, parsed, stamp):
-        if buf[stamp_first[index]] == ord('"'):  # no quoted value parses, but unquoted it may
+    bad_first, bad_last = stamp_first[~parsed], stamp_last[~parsed]
+    # an empty value's edges are the bytes around it
+    if ((bad_last > bad_first) & (_ID_EDGE_BANNED[buf[bad_first]] | _ID_EDGE_BANNED[buf[bad_last - 1]])).any():
+        if (buf[bad_first] == ord('"')).any():  # no quoted value parses, but unquoted it may
             raise _Decline("a quoted id or timestamp")
-        if strict:
-            raise _Decline("a timestamp that strict mode raises for")
-        skipped += 1
+        raise _Decline("a timestamp with leading or trailing whitespace")  # stripped, it may parse
+    if strict and len(bad_first):
+        raise _Decline("a timestamp that strict mode raises for")
     keys = [np.unique(_id_keys(buf, first[parsed], last[parsed]), return_inverse=True) for first, last in ids]
     codes = [(table, inverse.astype(np.int32)) for table, inverse in keys]
-    return len(starts), len(starts) - len(named), skipped, micros[parsed], codes
+    return len(starts), len(starts) - len(named), len(bad_first), micros[parsed], codes
 
 
 def _id_keys(buf: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -1121,7 +1104,8 @@ def load_registration_dates(path: str | Path) -> dict[str, datetime]:
         MalformedRowError: short row, empty id, duplicate id, bad timestamp.
     """
     source = str(path)
-    registrations: dict[str, datetime] = {}
+    rows: dict[str, tuple[int, str]] = {}  # volunteer id -> (line number, raw timestamp)
+    fault = None  # a fault other than a timestamp's ends the read, and an earlier bad timestamp comes first
     with Path(path).open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         positions = {name.strip(): i for i, name in enumerate(_read_header(reader, source))}
@@ -1132,20 +1116,28 @@ def load_registration_dates(path: str | Path) -> dict[str, datetime]:
             raise SchemaError(f"{source}: header must name volunteer_id and registered_at") from exc
         width = max(v_col, ts_col) + 1
         try:
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < width:
-                    raise MalformedRowError(source, reader.line_num, f"expected >= {width} columns, got {len(row)}")
-                volunteer = row[v_col].strip()
-                if not volunteer:
-                    raise MalformedRowError(source, reader.line_num, "missing volunteer_id")
-                if volunteer in registrations:
-                    raise MalformedRowError(source, reader.line_num, f"duplicate volunteer_id {volunteer!r}")
-                try:
-                    registrations[volunteer] = parse_timestamp(row[ts_col])
-                except InvalidTimestampError as exc:
-                    raise MalformedRowError(source, reader.line_num, str(exc)) from exc
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise MalformedRowError(source, reader.line_num, str(exc)) from exc
-    return registrations
+            try:
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) < width:
+                        raise MalformedRowError(source, reader.line_num, f"expected >= {width} columns, got {len(row)}")
+                    volunteer = row[v_col].strip()
+                    if not volunteer:
+                        raise MalformedRowError(source, reader.line_num, "missing volunteer_id")
+                    if volunteer in rows:
+                        raise MalformedRowError(source, reader.line_num, f"duplicate volunteer_id {volunteer!r}")
+                    rows[volunteer] = reader.line_num, row[ts_col]
+            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                raise MalformedRowError(source, reader.line_num, str(exc)) from exc
+        except MalformedRowError as exc:
+            fault = exc
+    micros, parsed = parse_canonical_timestamps([raw for _, raw in rows.values()])
+    for line, raw in compress(rows.values(), (~parsed).tolist()):
+        try:
+            parse_timestamp(raw)  # raises the error that names the fault
+        except InvalidTimestampError as exc:
+            raise MalformedRowError(source, line, str(exc)) from exc
+    if fault is not None:
+        raise fault
+    return dict(zip(rows, map(from_micros, micros.tolist())))

@@ -51,14 +51,15 @@ volunteers = mostly(ids, st.just(""))  # an anonymous record
 stamps = mostly(
     st.builds("2014-01-{:02d}T{:02d}:00:00Z".format, st.integers(1, 9), st.integers(0, 23)),
     st.sampled_from([
-        # each fixed width: 19, 20, 25, 26, 27 and 32 characters
+        # each zone, with and without a fraction, a space, "t" or "T" between date and time
         "2014-01-02 03:04:05", "2014-01-02T03:04:05", "2014-01-02 03:04:05Z", "2014-01-01T10:00:00+05:30",
         "2014-01-04 05:06:07.000008", "2014-01-04T05:06:07.123456Z", "2014-01-06T23:59:59.999999-00:30",
-        # near misses that parse_timestamp reads, or rejects, on its own
-        "2014-01-03T00:00:00.5Z", " 2014-01-05T00:00:00Z ", "0999-06-01T00:00:00Z", "2014-02-30T00:00:00Z",
+        "2014-01-03T00:00:00.5Z", "2014-01-07T08:00:00.000000z", "2014-01-08t09:10:11.25+01:00",
+        # padded values, which the byte path declines, and near misses
+        " 2014-01-05T00:00:00Z ", "2014-01-05T00:00:00Z\t", "0999-06-01T00:00:00Z", "2014-02-30T00:00:00Z",
         "2014-01-01T24:00:00Z", "0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00.000000-01:00",
-        "2014-01-01T10:00:00+24:00", "2014-01-01T10:00:00+01:60", "2014-01-07T08:00:00.000000z",
-        "yesterday", "",
+        "2014-01-01T10:00:00+24:00", "2014-01-01T10:00:00+01:60", "2014-01-01T10:00:00.1234567Z",
+        "2014-01-01T10:00:00+0100", "2014-01-01", "yesterday", " yesterday", "",
     ]),
 )
 #: Cells of the unused columns: quoted ones that ``csv.reader`` unquotes, and near misses it reads otherwise.
@@ -218,11 +219,14 @@ def test_written_microseconds_load_back_in_bulk(tmp_path):
     write_events_csv(events, path)
     assert b".999999Z\r\n" in path.read_bytes()
 
-    def no_value_left(micros, parsed, raw):
-        assert parsed.all(), "a value reached _parse_rest"
-        return iter(())
+    kernel = ingest._canonical_micros
 
-    with mock.patch.object(ingest, "_parse_rest", no_value_left):
+    def every_value_read(buf, starts, widths):
+        micros, parsed = kernel(buf, starts, widths)
+        assert parsed.all(), "the kernel rejected a written value"
+        return micros, parsed
+
+    with mock.patch.object(ingest, "_canonical_micros", every_value_read):
         assert byte_path(IngestConfig(kind="csv-file", location=str(path), strict=True)).events == events
 
 
@@ -258,6 +262,7 @@ class TestWhichPathRan:
         [
             ('"u,1",t1,p1,2014-01-01T10:00:00Z', "a quoted id or timestamp"),
             ('u1,t1,p1,"2014-01-01T10:00:00Z"', "a quoted id or timestamp"),
+            ("u1,t1,p1,2014-01-01T10:00:00Z ", "a timestamp with leading or trailing whitespace"),
             ('u1,t"1",p1,2014-01-01T10:00:00Z', "a quote inside an unquoted field"),
             ('u1,"t1"x,p1,2014-01-01T10:00:00Z', "text after a closing quote"),
             ('u1,t1,"p1,2014-01-01T10:00:00Z', "an unclosed quote"),
@@ -272,7 +277,7 @@ class TestWhichPathRan:
             ("u1,t1," + "p" * 140_000 + ",2014-01-01T10:00:00Z", "a record over the field size limit"),
         ],
         ids=[
-            "quote", "quoted-stamp", "inner-quote", "after-quote", "unclosed",
+            "quote", "quoted-stamp", "padded-stamp", "inner-quote", "after-quote", "unclosed",
             "nul", "non-ascii", "lone-cr", "padded", "empty", "short", "long", "wide", "over-limit",
         ],
     )

@@ -632,6 +632,17 @@ class TestCli:
         assert "argument --start: month must be in 1..12" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--start", "--end"])
+    @pytest.mark.parametrize("raw", ["20140717", "2014-W29-4", "2014-7-17", "\uff12014-07-17"])
+    def test_synth_dates_other_than_yyyy_mm_dd_are_usage_errors(self, tmp_path, capsys, flag, raw):
+        """``date.fromisoformat`` reads the first two from Python 3.11 on; the flag reads none on any Python."""
+        out = tmp_path / "synthdata"
+        with pytest.raises(SystemExit) as err:
+            run_cli("synth", flag, raw, "--out", str(out))
+        assert err.value.code == 1
+        assert f"argument {flag}: not a YYYY-MM-DD date: {raw!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_synth_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "synthdata"
         with pytest.raises(SystemExit) as err:

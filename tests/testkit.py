@@ -1,6 +1,7 @@
 """Shared helpers and independent oracles for the test suite.
 
 The oracles here deliberately avoid the package's own implementations: the
+timestamp oracle is a regular expression and ``datetime`` arithmetic, the
 Gini oracle is the quadratic pairwise definition, the volunteer oracle
 recounts days and projects straight from raw event tuples with collections
 primitives, the project oracle recounts each project's window, tasks and
@@ -11,6 +12,7 @@ chain. Tests compare the fast production code against these.
 from __future__ import annotations
 
 import functools
+import re
 from collections import defaultdict
 from datetime import datetime, timedelta, timezone
 
@@ -22,11 +24,46 @@ EPOCH = datetime(2014, 1, 1, tzinfo=timezone.utc)
 
 
 def ts(text: str) -> datetime:
-    """Aware UTC datetime from a compact ISO string ('2014-07-17T10:00')."""
+    """Aware UTC datetime from a compact ISO literal that a test writes ('2014-07-17T10:00')."""
     parsed = datetime.fromisoformat(text)
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
     return parsed.astimezone(timezone.utc)
+
+
+#: RFC 3339's date-time, with ``t`` or a space for ``T``, ``z`` for ``Z``, no zone meaning UTC,
+#: and a fraction of at most 6 digits; ASCII digits only.
+TIMESTAMP_GRAMMAR = re.compile(
+    r"(\d{4})-(\d{2})-(\d{2})[Tt ](\d{2}):(\d{2}):(\d{2})(?:\.(\d{1,6}))?(?:[Zz]|([+-])(\d{2}):(\d{2}))?",
+    re.ASCII,
+)
+
+
+def timestamp_oracle(raw: str) -> datetime | None:
+    """The UTC instant ``raw`` names in the package's timestamp grammar, or None for a malformed value.
+
+    Surrounding whitespace is stripped. The calendar, the 00-23 hour and the
+    00-59 minute and second are ``datetime``'s checks; an offset's hour must
+    be at most 23 and its minute at most 59, and the instant must stay in
+    years 1 to 9999 once the offset is taken off.
+    """
+    match = TIMESTAMP_GRAMMAR.fullmatch(raw.strip())
+    if match is None:
+        return None
+    *fields, fraction, sign, zone_hours, zone_minutes = match.groups()
+    try:
+        local = datetime(*map(int, fields), int((fraction or "0").ljust(6, "0")), tzinfo=timezone.utc)
+    except ValueError:  # no such day, or an hour, minute or second out of range
+        return None
+    if sign is None:
+        return local
+    if int(zone_hours) > 23 or int(zone_minutes) > 59:
+        return None
+    offset = timedelta(hours=int(zone_hours), minutes=int(zone_minutes))
+    try:
+        return local - offset if sign == "+" else local + offset
+    except OverflowError:  # before year 1 or past year 9999
+        return None
 
 
 def ev(volunteer: str, task: str, project: str, when: str | datetime) -> TaskExecutionEvent:
