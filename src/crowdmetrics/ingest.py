@@ -12,11 +12,11 @@ A CSV file in the common dialect (ASCII, records as wide as the header, the
 header and the id and timestamp fields unquoted, other fields quoted or not)
 is read by a byte path that masks the commas and newlines inside quoted
 cells, indexes each block's remaining newlines and commas and slices its
-fields in bulk. It reads blocks on up to 2 threads, with at most 4 blocks
-held, and takes their results in file order. Any other CSV, and every JSONL
-and API source, is read record by record: each source yields its records'
-fields to one loop that codes ids and parses timestamps in bounded blocks.
-Both CSV paths give equal results.
+fields in bulk, ids and timestamps stripped as ``str.strip()`` strips. It
+reads blocks on up to 2 threads, with at most 4 held, taking results in
+file order. Any other CSV, and every JSONL and API source, is read record
+by record: each source yields its records' fields to one loop that codes
+ids and parses timestamps in bounded blocks. Both CSV paths agree.
 
 Records without a volunteer identifier are anonymous contributions: the
 metrics need a stable identity to link events, so those records are dropped
@@ -99,9 +99,8 @@ _PARSE_CHUNK = 1 << 12
 _BLOCK_BYTES = 1 << 20
 #: Widest id the CSV byte path codes; a block's id matrix stays within a few times the block.
 _MAX_ID_BYTES = 32
-#: The ASCII bytes an id the byte path codes may not start or end with, by byte value:
-#: those ``str.strip()`` removes, and the quote of a quoted field.
-_ID_EDGE_BANNED = np.array([chr(byte).isspace() or chr(byte) == '"' for byte in range(128)])
+#: The ASCII bytes ``str.strip()`` removes, by byte value: the byte path strips ids and timestamps of them.
+_SPACE = np.array([chr(byte).isspace() for byte in range(128)])
 
 
 class MalformedRowError(ValueError):
@@ -471,18 +470,16 @@ def _load_csv_bytes(handle, config: IngestConfig, source: str) -> IngestResult:
 
     A field that starts with a quote is a quoted cell: its commas and
     newlines are masked, so it counts as one field, and only the fields the
-    events do not use may be quoted. Raises ``_Decline`` wherever its result
-    could differ from the ``csv.reader`` loop's: a special byte or misplaced
-    quote (see ``_csv_blocks`` and ``_records``), a quote in the header, a
-    record over the field size limit, a record whose comma count differs
-    from the header's, a kept record's id that is empty, quoted, padded with
-    whitespace or over ``_MAX_ID_BYTES``, a kept record's timestamp that
-    ``_canonical_micros`` rejects and that is quoted or padded with
-    whitespace (``csv.reader``'s loop strips it), or, in strict mode, any
-    timestamp it rejects. So it reads only
-    files with no malformed record but for, in lenient mode, unparseable
-    timestamps. An empty volunteer id is an anonymous record, whatever its
-    other fields hold.
+    events do not use may be quoted. Ids and timestamps are stripped as the
+    ``csv.reader`` loop strips them. Raises ``_Decline`` wherever its result
+    could differ from that loop's: a special byte or misplaced quote (see
+    ``_csv_blocks`` and ``_records``), a quote in the header, a record over
+    the field size limit or with a comma count not the header's, a kept
+    record's quoted id or timestamp, an empty id or one over
+    ``_MAX_ID_BYTES``, or, in strict mode, an unparseable timestamp. So it
+    reads only files with no malformed record but for, in lenient mode,
+    unparseable timestamps. An empty or whitespace-only volunteer id is an
+    anonymous record, whatever its other fields hold.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -564,7 +561,8 @@ def _read_block(
     """One block's ``(records, anonymous, skipped, micros, ids)``, or ``_Decline``; it shares no state.
 
     ``micros`` holds the kept records' instants, and ``ids`` each id
-    column's ``np.unique`` keys (see ``_id_keys``) and int32 inverse.
+    column's ``np.unique`` keys (see ``_id_keys``) and int32 inverse, read
+    from ids and timestamps stripped as the ``csv.reader`` loop strips them.
     """
     columns, separators, limit = layout
     buf, starts, ends = _records(block, limit)
@@ -575,38 +573,38 @@ def _read_block(
     if (np.searchsorted(commas, ends) - before != separators).any():
         raise _Decline("a row whose comma count differs from the header's")
 
-    def field(name: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def field(name: str, rows: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
         column = columns[name]
         first = starts[rows] if column == 0 else commas[before[rows] + column - 1] + 1
         last = ends[rows] if column == separators else commas[before[rows] + column]
+        head = buf[first]  # an empty value's edges are the bytes around it, never a quote
+        if (head == ord('"')).any():  # csv.reader unquotes it
+            raise _Decline("a quoted id or timestamp")
+        moved = np.flatnonzero((_SPACE[head] | _SPACE[buf[last - 1]]) & (last > first))  # the padded values
+        first, last = (first.copy(), last.copy()) if len(moved) else (first, last)  # starts[:] and ends[:] are views
+        while len(moved):  # a byte off each padded value a pass: its head's if that is whitespace, else its tail's
+            leading = _SPACE[buf[first[moved]]]
+            first[moved] += leading
+            last[moved] -= ~leading
+            moved = moved[(last[moved] > first[moved]) & (_SPACE[buf[first[moved]]] | _SPACE[buf[last[moved] - 1]])]
         return first, last
 
     first, last = field("volunteer_id", slice(None))
-    named = np.flatnonzero(last > first)
-    ids = [field(name, named) for name in CANONICAL_FIELDS[:3]]
+    named = np.flatnonzero(last > first)  # an empty or whitespace-only user id is anonymous
+    ids = [(first[named], last[named])] + [field(name, named) for name in CANONICAL_FIELDS[1:3]]
     for first, last in ids:
         if (last == first).any():
             raise _Decline("an empty id")
-        if (_ID_EDGE_BANNED[buf[first]] | _ID_EDGE_BANNED[buf[last - 1]]).any():
-            if (buf[first] == ord('"')).any():
-                raise _Decline("a quoted id or timestamp")
-            raise _Decline("an id with leading or trailing whitespace")
         if (last - first).max(initial=0) > _MAX_ID_BYTES:
             raise _Decline(f"an id over {_MAX_ID_BYTES} bytes")
 
     stamp_first, stamp_last = field("timestamp", named)
     micros, parsed = _canonical_micros(buf, stamp_first, stamp_last - stamp_first)
-    bad_first, bad_last = stamp_first[~parsed], stamp_last[~parsed]
-    # an empty value's edges are the bytes around it
-    if ((bad_last > bad_first) & (_ID_EDGE_BANNED[buf[bad_first]] | _ID_EDGE_BANNED[buf[bad_last - 1]])).any():
-        if (buf[bad_first] == ord('"')).any():  # no quoted value parses, but unquoted it may
-            raise _Decline("a quoted id or timestamp")
-        raise _Decline("a timestamp with leading or trailing whitespace")  # stripped, it may parse
-    if strict and len(bad_first):
+    if strict and not parsed.all():
         raise _Decline("a timestamp that strict mode raises for")
     keys = [np.unique(_id_keys(buf, first[parsed], last[parsed]), return_inverse=True) for first, last in ids]
     codes = [(table, inverse.astype(np.int32)) for table, inverse in keys]
-    return len(starts), len(starts) - len(named), len(bad_first), micros[parsed], codes
+    return len(starts), len(starts) - len(named), len(parsed) - int(np.count_nonzero(parsed)), micros[parsed], codes
 
 
 def _id_keys(buf: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:

@@ -1,17 +1,22 @@
 """The CSV loader's two paths agree: the byte path and the ``csv.reader`` loop.
 
 A file in the common dialect (ASCII, LF or CRLF line ends, records as wide
-as the header, ids neither empty nor padded, the header, ids and timestamps
-unquoted, and any other field either unquoted and quote-free or quoted
-whole: opened at the field's start and closed just before a comma, a line
-end or the quote of a ``""`` escape) is read by the byte path; any other
-file declines to ``csv.reader``. Generated files lean toward that dialect,
-put quoted cells holding commas, escapes and line ends into the unused
-columns, and lean toward each decline trigger. Wherever the byte path
-answers, it must give what the ``csv.reader`` loop gives: equal
-``EventTable``s and tallies, or the same exception, line and message.
+as the header, ids not empty once stripped of whitespace, the header, ids
+and timestamps unquoted, and any other field either unquoted and quote-free
+or quoted whole: opened at the field's start and closed just before a
+comma, a line end or the quote of a ``""`` escape) is read by the byte
+path; any other file declines to ``csv.reader``. Both paths strip ids and
+timestamps of the whitespace ``str.strip()`` removes. Generated files lean
+toward that dialect, put quoted cells holding commas, escapes and line ends
+into the unused columns, and lean toward each decline trigger and padded
+values. Wherever the byte path answers, it must give what the
+``csv.reader`` loop gives: equal ``EventTable``s and tallies, or the same
+exception, line and message. Every reason the byte path declines with is
+met by a test below.
 """
 
+import ast
+import inspect
 import logging
 import os
 import threading
@@ -55,7 +60,7 @@ stamps = mostly(
         "2014-01-02 03:04:05", "2014-01-02T03:04:05", "2014-01-02 03:04:05Z", "2014-01-01T10:00:00+05:30",
         "2014-01-04 05:06:07.000008", "2014-01-04T05:06:07.123456Z", "2014-01-06T23:59:59.999999-00:30",
         "2014-01-03T00:00:00.5Z", "2014-01-07T08:00:00.000000z", "2014-01-08t09:10:11.25+01:00",
-        # padded values, which the byte path declines, and near misses
+        # padded values, which both paths strip, and near misses
         " 2014-01-05T00:00:00Z ", "2014-01-05T00:00:00Z\t", "0999-06-01T00:00:00Z", "2014-02-30T00:00:00Z",
         "2014-01-01T24:00:00Z", "0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00.000000-01:00",
         "2014-01-01T10:00:00+24:00", "2014-01-01T10:00:00+01:60", "2014-01-01T10:00:00.1234567Z",
@@ -67,9 +72,10 @@ extras = mostly(ids, st.sampled_from([
     '"a,b"', '"a""b"', '"a\nb"', '"a\r\nb"', '"a\rb"', '""', '"{""answer"": ""1""}"',
     'a"b', '"a"b', '"a" ', '"a',
 ]))
-#: One cell that makes the byte path decline, or for the empty id only when its row is not anonymous.
+#: One cell that makes the byte path decline (the empty id only when its row is not anonymous), or a
+#: padded or blank one that both paths strip.
 triggers = st.sampled_from([
-    '"u1"', "a,b", "a\x00b", "ü", "u1\r", " u1", "u1 ", "u1\x1c", "\tu1", "", "w" * 33,
+    '"u1"', "a,b", "a\x00b", "ü", "u1\r", "", "w" * 33, " u1", "u1 ", "u1\x1c", "\tu1", " \x0b",
 ])
 
 
@@ -230,6 +236,43 @@ def test_written_microseconds_load_back_in_bulk(tmp_path):
         assert byte_path(IngestConfig(kind="csv-file", location=str(path), strict=True)).events == events
 
 
+#: A data row, written after ``ROWS[0]``, that the byte path declines, and the reason it logs.
+DECLINING_ROWS = {
+    "quote": ('"u,1",t1,p1,2014-01-01T10:00:00Z', "a quoted id or timestamp"),
+    "quoted-stamp": ('u1,t1,p1,"2014-01-01T10:00:00Z"', "a quoted id or timestamp"),
+    "inner-quote": ('u1,t"1",p1,2014-01-01T10:00:00Z', "a quote inside an unquoted field"),
+    "after-quote": ('u1,"t1"x,p1,2014-01-01T10:00:00Z', "text after a closing quote"),
+    "unclosed": ('u1,t1,"p1,2014-01-01T10:00:00Z', "an unclosed quote"),
+    "nul": ("u\x001,t1,p1,2014-01-01T10:00:00Z", "a NUL byte"),
+    "non-ascii": ("ü1,t1,p1,2014-01-01T10:00:00Z", "a non-ASCII byte"),
+    "lone-cr": ("u1,t1\r,p1,2014-01-01T10:00:00Z", "a CR not followed by LF"),
+    "empty": ("u1,,p1,2014-01-01T10:00:00Z", "an empty id"),
+    "blank": ("u1, \t,p1,2014-01-01T10:00:00Z", "an empty id"),
+    "short": ("u1,t1,p1", "a row whose comma count differs from the header's"),
+    "long": ("u1,t1,p1,2014-01-01T10:00:00Z,extra", "a row whose comma count differs from the header's"),
+    "wide": ("u1,t1," + "p" * 33 + ",2014-01-01T10:00:00Z", "an id over 32 bytes"),
+    "over-limit": ("u1,t1," + "p" * 140_000 + ",2014-01-01T10:00:00Z", "a record over the field size limit"),
+    # the first block ends inside the record, and the second holds a megabyte more of it and no newline
+    "over-block": ("u1,t1," + "p" * (2 << 20) + ",2014-01-01T10:00:00Z", "a record over 1048576 bytes"),
+}
+#: The reasons of the declines that other tests meet: a header's, and a strict load's.
+QUOTED_HEADER = "a quote in the header"
+STRICT_STAMP = "a timestamp that strict mode raises for"
+
+
+def test_every_decline_reason_is_met_by_a_test():
+    """Each ``_Decline`` message in ``ingest.py``, f-strings formatted with the module's constants, is expected here.
+
+    So a reason that goes stays in no test, and a new reason cannot go untested.
+    """
+    messages = set()
+    for node in ast.walk(ast.parse(inspect.getsource(ingest))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Decline":
+            (message,) = node.args
+            messages.add(eval(compile(ast.Expression(message), ingest.__file__, "eval"), vars(ingest)))
+    assert messages == {reason for _, reason in DECLINING_ROWS.values()} | {QUOTED_HEADER, STRICT_STAMP}
+
+
 class TestWhichPathRan:
     """``_load_csv`` logs which path read a file, and why the byte path declined."""
 
@@ -257,34 +300,41 @@ class TestWhichPathRan:
         assert self.path_taken(caplog, crlf) == "read by the byte path"
         assert self.path_taken(caplog, pybossa) == "read by the byte path"
 
-    @pytest.mark.parametrize(
-        "row, reason",
-        [
-            ('"u,1",t1,p1,2014-01-01T10:00:00Z', "a quoted id or timestamp"),
-            ('u1,t1,p1,"2014-01-01T10:00:00Z"', "a quoted id or timestamp"),
-            ("u1,t1,p1,2014-01-01T10:00:00Z ", "a timestamp with leading or trailing whitespace"),
-            ('u1,t"1",p1,2014-01-01T10:00:00Z', "a quote inside an unquoted field"),
-            ('u1,"t1"x,p1,2014-01-01T10:00:00Z', "text after a closing quote"),
-            ('u1,t1,"p1,2014-01-01T10:00:00Z', "an unclosed quote"),
-            ("u\x001,t1,p1,2014-01-01T10:00:00Z", "a NUL byte"),
-            ("ü1,t1,p1,2014-01-01T10:00:00Z", "a non-ASCII byte"),
-            ("u1,t1\r,p1,2014-01-01T10:00:00Z", "a CR not followed by LF"),
-            ("u1, t1,p1,2014-01-01T10:00:00Z", "an id with leading or trailing whitespace"),
-            ("u1,,p1,2014-01-01T10:00:00Z", "an empty id"),
-            ("u1,t1,p1", "a row whose comma count differs from the header's"),
-            ("u1,t1,p1,2014-01-01T10:00:00Z,extra", "a row whose comma count differs from the header's"),
-            ("u1,t1," + "p" * 33 + ",2014-01-01T10:00:00Z", "an id over 32 bytes"),
-            ("u1,t1," + "p" * 140_000 + ",2014-01-01T10:00:00Z", "a record over the field size limit"),
-        ],
-        ids=[
-            "quote", "quoted-stamp", "padded-stamp", "inner-quote", "after-quote", "unclosed",
-            "nul", "non-ascii", "lone-cr", "padded", "empty", "short", "long", "wide", "over-limit",
-        ],
-    )
+    @pytest.mark.parametrize("row, reason", DECLINING_ROWS.values(), ids=DECLINING_ROWS.keys())
     def test_other_files_decline_with_their_reason(self, tmp_path, caplog, row, reason):
         path = tmp_path / "dirty.csv"
         path.write_text("\n".join([HEADER, ROWS[0], row, ""]), encoding="utf-8", newline="")
         assert self.path_taken(caplog, path) == f"read by csv.reader: {reason}"
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "u1, t1,p1,2014-01-01T10:00:00Z",
+            "u1,t1,p1,2014-01-01T10:00:00Z ",
+            " \t,t2,p1,2014-01-01T10:00:00Z",
+            "\x0bu2\x1f,\x1ct3 ,\tp2\x0c,  2014-01-02 11:30:00\x1d\x1e",
+            "u1,t1,p1, yesterday ",
+        ],
+        ids=["padded", "padded-stamp", "blank-user", "every-value", "padded-bad-stamp"],
+    )
+    def test_padded_ids_and_timestamps_take_the_byte_path(self, tmp_path, caplog, row):
+        """Both paths strip ids and timestamps of the whitespace ``str.strip()`` removes, so padding never declines."""
+        path, unpadded = tmp_path / "padded.csv", tmp_path / "unpadded.csv"
+        for file, line in [(path, row), (unpadded, ",".join(cell.strip() for cell in row.split(",")))]:
+            file.write_text("\n".join([HEADER, ROWS[0], line, ""]), encoding="utf-8", newline="")
+        assert self.path_taken(caplog, path) == "read by the byte path"
+        read = outcome(byte_path, path, strict=False)
+        assert read == outcome(_load_csv_rows, path, strict=False) == outcome(byte_path, unpadded, strict=False)
+
+    def test_a_bad_timestamp_declines_in_strict_mode(self, tmp_path, caplog):
+        """Only the ``csv.reader`` loop knows the line of the record a strict load raises for."""
+        path = tmp_path / "dirty.csv"
+        path.write_text("\n".join([HEADER, ROWS[0], "u1,t1,p1,yesterday", ""]), encoding="utf-8")
+        config = IngestConfig(kind="csv-file", location=str(path), strict=True)
+        with caplog.at_level(logging.DEBUG, logger="crowdmetrics.ingest"), \
+                pytest.raises(MalformedRowError, match=r":3: unparseable timestamp: 'yesterday'$"):
+            load_file(config)
+        assert caplog.messages == [f"{path}: read by csv.reader: {STRICT_STAMP}"]
 
     @pytest.mark.parametrize(
         "second, fourth, reason",
@@ -319,4 +369,4 @@ class TestWhichPathRan:
     def test_a_quote_in_the_header_declines(self, tmp_path, caplog):
         path = tmp_path / "dirty.csv"
         path.write_text("\n".join(['"volunteer_id",task_id,project_id,timestamp', ROWS[0], ""]), encoding="utf-8")
-        assert self.path_taken(caplog, path) == "read by csv.reader: a quote in the header"
+        assert self.path_taken(caplog, path) == f"read by csv.reader: {QUOTED_HEADER}"

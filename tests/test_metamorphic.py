@@ -8,10 +8,16 @@ the CSV file as ``load_file`` reads it (the byte path wherever it can),
 the same file through the ``csv.reader`` loop (the byte path made to
 decline), JSONL, and paged API records.
 
+Row order: shuffled records give the same artifacts.
+
 Offsets: each instant written in another form of the timestamp grammar
 (``Z``, ``z``, a UTC offset, naive, a ``t`` or space separator, a fraction
 trimmed of trailing zeros or zeros added) names the same instant. Values
 that are not instants in the grammar are left as they are.
+
+Padding: every id and timestamp padded on each side with up to 3 of the
+whitespace characters ``str.strip()`` removes is the same value, and the
+CSV byte path reads the padded file wherever it reads the original.
 """
 
 import csv
@@ -24,10 +30,10 @@ from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crowdmetrics import ingest
-from crowdmetrics.ingest import _Decline
+from crowdmetrics.ingest import IngestConfig, _Decline
 from crowdmetrics.report import ARTIFACT_NAMES
 from test_cli_contract import ids, run, timestamps
 from testkit import timestamp_oracle
@@ -38,7 +44,14 @@ PAGE_SIZE = 4
 
 #: The contract's ids without the ones at the CSV field size limit, which only slow a run.
 short_ids = ids.filter(lambda value: len(value) < 64)
-logs = st.lists(st.tuples(short_ids, short_ids, short_ids, timestamps), max_size=10)
+MAX_ROWS = 10
+logs = st.lists(st.tuples(short_ids, short_ids, short_ids, timestamps), max_size=MAX_ROWS)
+#: For each side of each value of a log: 0 to 3 ASCII characters that ``str.strip()`` removes, written unquoted.
+paddings = st.lists(
+    st.text(st.sampled_from(" \t\x0b\x0c\x1c\x1d\x1e\x1f"), max_size=3), min_size=8 * MAX_ROWS, max_size=8 * MAX_ROWS
+)
+#: A log the CSV byte path reads.
+PLAIN_LOG = [("u1", "t1", "p1", "2014-01-01T10:00:00Z"), ("u2", "t1", "p1", "2014-01-02 10:00:00")]
 
 
 @st.composite
@@ -76,16 +89,38 @@ def rewritten(draw, log):
     return rows
 
 
+def padded(log, pads):
+    """The log with each id and timestamp between the next two of ``pads``."""
+    pads = iter(pads)
+    return [tuple(next(pads) + value + next(pads) for value in row) for row in log]
+
+
+def csv_file(rows, workdir):
+    """``rows`` written by ``csv.writer`` under a ``FIELDS`` header, as the CSV routes read them."""
+    text = io.StringIO(newline="")
+    csv.writer(text, lineterminator="\n").writerows([FIELDS, *rows])
+    path = workdir / "events.csv"
+    path.write_bytes(text.getvalue().encode("utf-8", "replace"))  # a lone surrogate becomes "?"
+    return path
+
+
+def byte_path_reads(rows, workdir):
+    """Whether the CSV byte path reads ``rows`` rather than declining."""
+    path = csv_file(rows, workdir)
+    with path.open("rb") as handle:
+        try:
+            ingest._load_csv_bytes(handle, IngestConfig(kind="csv-file", location=str(path)), str(path))
+        except _Decline:
+            return False
+    return True
+
+
 def report(route, rows, workdir):
     """Exit code and artifacts of ``report`` on ``rows`` read through ``route``."""
     records = [dict(zip(FIELDS, row)) for row in rows]
     patch = nullcontext()
     if route in ("byte-path", "csv-reader"):
-        text = io.StringIO(newline="")
-        csv.writer(text, lineterminator="\n").writerows([FIELDS, *rows])
-        path = workdir / "events.csv"
-        path.write_bytes(text.getvalue().encode("utf-8", "replace"))  # a lone surrogate becomes "?"
-        source = ["--input", str(path)]
+        source = ["--input", str(csv_file(rows, workdir))]
         if route == "csv-reader":
             patch = mock.patch.object(ingest, "_load_csv_bytes", side_effect=_Decline("made to decline"))
     elif route == "jsonl":
@@ -110,11 +145,31 @@ def report(route, rows, workdir):
     return code, artifacts
 
 
-@settings(max_examples=50)
-@given(data=st.data(), log=logs)
-def test_instants_in_other_forms_give_the_same_artifacts(data, log):
-    transformed = rewritten(data.draw, log)
+def assert_same_artifacts(log, transformed):
     for route in ("byte-path", "csv-reader", "jsonl", "api"):
         with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
             original = report(route, log, Path(first))
             assert report(route, transformed, Path(second)) == original, route
+
+
+@settings(max_examples=50)
+@given(data=st.data(), log=logs)
+def test_instants_in_other_forms_give_the_same_artifacts(data, log):
+    assert_same_artifacts(log, rewritten(data.draw, log))
+
+
+@settings(max_examples=50)
+@given(data=st.data(), log=logs)
+def test_shuffled_records_give_the_same_artifacts(data, log):
+    assert_same_artifacts(log, data.draw(st.permutations(log)))
+
+
+@settings(max_examples=50)
+@given(log=logs, pads=paddings)
+@example(log=PLAIN_LOG, pads=[" \t"] * 8 * MAX_ROWS)
+def test_padded_ids_and_timestamps_give_the_same_artifacts(log, pads):
+    transformed = padded(log, pads)
+    assert_same_artifacts(log, transformed)
+    with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
+        if byte_path_reads(log, Path(first)):
+            assert byte_path_reads(transformed, Path(second))
