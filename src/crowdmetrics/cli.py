@@ -20,7 +20,6 @@ from ._version import __version__
 from .events import (
     EmptyDatasetError,
     EventAfterObservationEndError,
-    InvalidTimestampError,
     RegistrationAfterFirstEventError,
     build_snapshot,
     parse_timestamp,
@@ -288,7 +287,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         EmptyDatasetError,
         EventAfterObservationEndError,
-        InvalidTimestampError,
         MalformedRowError,
         RegistrationAfterFirstEventError,
         SchemaError,

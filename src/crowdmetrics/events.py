@@ -90,9 +90,13 @@ def parse_timestamp(raw: str) -> datetime:
     """
     (micros,), (valid,) = parse_canonical_timestamps([raw])
     if not valid:
-        reason = "timestamp out of range" if micros else "unparseable timestamp"  # see _canonical_micros
-        raise InvalidTimestampError(f"{reason}: {raw!r}")
+        raise _rejected(raw, micros)
     return from_micros(int(micros))
+
+
+def _rejected(raw: str, micros: int) -> InvalidTimestampError:
+    """Why ``raw`` failed, from the ``micros`` the kernel read for it (see ``_canonical_micros``)."""
+    return InvalidTimestampError(f"{'timestamp out of range' if micros else 'unparseable timestamp'}: {raw!r}")
 
 
 #: Width of the widest timestamp, ``YYYY-MM-DD?HH:MM:SS.ffffff±HH:MM``.
@@ -131,7 +135,7 @@ def _canonical_micros(buf: np.ndarray, starts: np.ndarray, widths: np.ndarray) -
     are gathered into one matrix and read by ``_fixed_width_micros``. A
     malformed value reads 0; a well-formed one that its offset moves out of
     years 1 to 9999 is invalid but reads its (nonzero) instant, so that
-    ``parse_timestamp`` can say which.
+    ``_rejected`` can say which.
     """
     micros = np.zeros(len(starts), dtype=np.int64)
     valid = np.zeros(len(starts), dtype=bool)

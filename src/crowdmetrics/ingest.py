@@ -55,15 +55,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .events import (
     EventTable,
     IdKeys,
-    InvalidTimestampError,
     TaskExecutionEvent,
     _canonical_micros,
     _decode_ids,
     _first_of_runs,
     _key_bytes,
+    _rejected,
     from_micros,
     parse_canonical_timestamps,
-    parse_timestamp,
 )
 
 logger = logging.getLogger(__name__)
@@ -268,10 +267,7 @@ def _load_records(pages: Iterable[tuple[str, Iterable[tuple[int, Any]]]], strict
         micros, parsed = parse_canonical_timestamps(stamps)
         if strict and not parsed.all():
             index = int(parsed.argmin())
-            try:
-                parse_timestamp(stamps[index])  # raises the error that names the fault
-            except InvalidTimestampError as exc:
-                raise MalformedRowError(*locations[index], str(exc)) from exc
+            raise MalformedRowError(*locations[index], str(_rejected(stamps[index], micros[index])))
         skipped += len(parsed) - int(np.count_nonzero(parsed))
         micros_blocks.append(micros)
         kept_blocks.append(parsed)
@@ -323,17 +319,17 @@ def load_file(config: IngestConfig) -> IngestResult:
     raise ValueError(f"load_file cannot handle source kind {config.kind!r}")
 
 
-def _read_header(reader, source: str) -> list[str]:
+def _read_header(reader, source: str) -> dict[str, int]:
+    """Each header name, stripped, and its column; a repeated name maps to its last column."""
     try:
-        return next(reader)
+        return {name.strip(): i for i, name in enumerate(next(reader))}
     except StopIteration:
         raise SchemaError(f"{source}: empty file, expected a header row") from None
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise SchemaError(f"{source}: unreadable header row: {exc}") from exc
 
 
-def _resolve_csv_columns(header: list[str], field_map: Mapping[str, str], source: str) -> dict[str, int]:
-    positions = {name.strip(): i for i, name in enumerate(header)}
+def _resolve_csv_columns(positions: dict[str, int], field_map: Mapping[str, str], source: str) -> dict[str, int]:
     columns: dict[str, int] = {}
     for canonical in CANONICAL_FIELDS:
         mapped = field_map[canonical]
@@ -373,8 +369,9 @@ def _csv_blocks(handle) -> Iterator[bytes]:
 
     A block is cut after its last newline outside quotes, so each block
     starts outside quotes and no state passes between blocks. Raises
-    ``_Decline`` for a record over ``_BLOCK_BYTES``, a NUL byte and a
-    non-ASCII byte; ``_records`` checks the rest.
+    ``_Decline`` once more than ``_BLOCK_BYTES`` follow the last newline
+    read (so a record of one to two blocks may pass, and meet the field
+    size limit in ``_records``), for a NUL byte and a non-ASCII byte.
     """
     pending = handle.read(len(codecs.BOM_UTF8))
     if pending == codecs.BOM_UTF8:
@@ -721,6 +718,20 @@ def _load_jsonl(config: IngestConfig) -> IngestResult:
 def _cache_path(cache_dir: Path, url: str) -> Path:
     digest = hashlib.sha256(url.encode("utf-8")).hexdigest()[:32]
     return cache_dir / f"{digest}.json"
+
+
+def _cell(value: object) -> str:
+    r"""A written CSV cell: a float gets 6 decimals, None is empty, a ``str`` (a class enum too)
+    stays as it is, anything else is its ``str``. A cell holding a comma, a quote, "\r"
+    or "\n" is quoted, each quote doubled (RFC 4180); every writer here quotes with it."""
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    if value is None:
+        return ""
+    text = value if isinstance(value, str) else str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 @contextmanager
@@ -1075,13 +1086,12 @@ def write_events_csv(events: Iterable[TaskExecutionEvent], path: str | Path) -> 
     """
     count = 0
     with _replacing(Path(path)) as (temp,), temp.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CANONICAL_FIELDS)
+        handle.write(",".join(CANONICAL_FIELDS) + "\r\n")
         for event in events:
-            ids = (event.volunteer_id, event.task_id, event.project_id)
+            volunteer, task, project = ids = (event.volunteer_id, event.task_id, event.project_id)
             if not all(ids):
                 raise ValueError(f"event with empty id field: {event!r}")
-            writer.writerow((*ids, format_timestamp(event.timestamp)))
+            handle.write(f"{_cell(volunteer)},{_cell(task)},{_cell(project)},{format_timestamp(event.timestamp)}\r\n")
             count += 1
     return count
 
@@ -1106,7 +1116,7 @@ def load_registration_dates(path: str | Path) -> dict[str, datetime]:
     fault = None  # a fault other than a timestamp's ends the read, and an earlier bad timestamp comes first
     with Path(path).open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        positions = {name.strip(): i for i, name in enumerate(_read_header(reader, source))}
+        positions = _read_header(reader, source)
         try:
             v_col = positions["volunteer_id"]
             ts_col = positions["registered_at"]
@@ -1131,11 +1141,8 @@ def load_registration_dates(path: str | Path) -> dict[str, datetime]:
         except MalformedRowError as exc:
             fault = exc
     micros, parsed = parse_canonical_timestamps([raw for _, raw in rows.values()])
-    for line, raw in compress(rows.values(), (~parsed).tolist()):
-        try:
-            parse_timestamp(raw)  # raises the error that names the fault
-        except InvalidTimestampError as exc:
-            raise MalformedRowError(source, line, str(exc)) from exc
+    for (line, raw), value in compress(zip(rows.values(), micros.tolist()), (~parsed).tolist()):
+        raise MalformedRowError(source, line, str(_rejected(raw, value)))  # the first bad timestamp
     if fault is not None:
         raise fault
     return dict(zip(rows, map(from_micros, micros.tolist())))

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._version import __version__
 from .events import PlatformSnapshot, derive_profiles
-from .ingest import _replacing, format_timestamp
+from .ingest import _cell, _replacing, format_timestamp
 from .projects import BalanceValue, ProjectBalances, Unbounded, compute_project_balances
 from .stats import (
     BootstrapCI,
@@ -286,20 +286,6 @@ def _document(report: MetricsReport) -> dict:
             for b in report.projects
         ],
     }
-
-
-def _cell(value: object) -> str:
-    """A table cell: a float gets 6 decimals, None is empty, a ``str`` (a class enum too)
-    stays as it is, anything else is its ``str``. A cell holding a comma, a quote, "\r"
-    or "\n" is quoted, each quote doubled (RFC 4180)."""
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    if value is None:
-        return ""
-    text = value if isinstance(value, str) else str(value)
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def _write_table(rows: list[dict], handle: TextIO) -> None:

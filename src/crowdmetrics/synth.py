@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .events import TaskExecutionEvent
-from .ingest import _replacing
+from .ingest import _cell, _replacing
 from .volunteers import PlatformClass, ProjectClass
 
 
@@ -305,6 +305,6 @@ def write_labels_csv(
     lines = ["volunteer_id,platform_class,project_class"]
     for volunteer_id in sorted(labels):
         platform_class, project_class = labels[volunteer_id]
-        lines.append(f"{volunteer_id},{platform_class.value},{project_class.value}")
+        lines.append(",".join(map(_cell, (volunteer_id, platform_class, project_class))))
     with _replacing(Path(path)) as (temp,):
         temp.write_text("\n".join(lines) + "\n", encoding="utf-8")

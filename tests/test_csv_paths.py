@@ -16,6 +16,7 @@ met by a test below.
 """
 
 import ast
+import csv
 import inspect
 import logging
 import os
@@ -357,6 +358,20 @@ class TestWhichPathRan:
             rows[0], rows[4] = line(second), line(fourth)  # into blocks 2 and 4
             path.write_text("\n".join([header, *rows, ""]), encoding="utf-8", newline="")
             assert self.path_taken(caplog, path) == f"read by csv.reader: {reason}"
+
+    def test_a_record_over_a_block_is_read_under_a_raised_field_size_limit(self, tmp_path, caplog):
+        """A block is cut only once more than ``_BLOCK_BYTES`` follow the last line end read, so a 1.5 MB record
+        that starts in the first read ends in the second, and only the field size limit stands in its way."""
+        path = tmp_path / "wide.csv"
+        rows = [ROWS[0] + ",x", ROWS[2] + "," + "i" * 1_500_000, ROWS[1] + ",y"]
+        path.write_text("\n".join([HEADER + ",info", *rows, ""]), encoding="utf-8")
+        limit = csv.field_size_limit(4 << 20)
+        try:
+            assert self.path_taken(caplog, path) == "read by the byte path"
+            assert assert_paths_agree(path, strict=False) and assert_paths_agree(path, strict=True)
+        finally:
+            csv.field_size_limit(limit)
+        assert self.path_taken(caplog, path) == "read by csv.reader: a record over the field size limit"
 
     def test_a_header_over_the_field_size_limit_declines(self, tmp_path, caplog):
         """The first block's records are measured before its header is read, so ``csv.reader`` reports the header."""

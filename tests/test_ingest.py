@@ -1,6 +1,7 @@
 """CSV and JSON-lines ingestion: field mapping, tallies, strict mode."""
 
 import csv
+import io
 import json
 from datetime import datetime, timedelta, timezone
 
@@ -28,6 +29,12 @@ from crowdmetrics.ingest import (
     write_events_csv,
 )
 from testkit import dedupe_oracle, ev, timestamp_oracle, ts, volunteer_oracle
+
+
+#: Ids that need quoting (comma, quote, CR, LF), spaces and non-ASCII text; never empty, no lone surrogate.
+written_ids = st.text(
+    st.one_of(st.sampled_from(',"\r\n '), st.characters(blacklist_categories=("Cs",))), min_size=1, max_size=8
+)
 
 
 @pytest.fixture
@@ -571,6 +578,25 @@ class TestWriteEventsCsv:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "volunteer_id,task_id,project_id,timestamp"
         assert lines[1] == "u1,t1,p1,2014-01-01T10:00:00Z"
+
+    @given(
+        st.lists(
+            st.tuples(written_ids, written_ids, written_ids, st.datetimes(timezones=st.just(timezone.utc))), max_size=8
+        )
+    )
+    @example([
+        ("a,b", 'q"uote', "cr\rlf\n", datetime(2014, 1, 1, tzinfo=timezone.utc)),
+        (" é ", "用户", "\r", datetime(1, 1, 1)),
+    ])
+    def test_bytes_are_what_csv_writer_writes(self, tmp_path_factory, rows):
+        """``csv.writer`` with CRLF line ends is the reference for the cells' quoting and every written byte."""
+        path = tmp_path_factory.mktemp("bytes") / "out.csv"
+        write_events_csv([ev(*row) for row in rows], path)
+        text = io.StringIO(newline="")
+        writer = csv.writer(text, lineterminator="\r\n")
+        writer.writerow(["volunteer_id", "task_id", "project_id", "timestamp"])
+        writer.writerows((*ids, instant.replace(tzinfo=None).isoformat() + "Z") for *ids, instant in rows)
+        assert path.read_bytes() == text.getvalue().encode("utf-8")
 
     @given(st.lists(st.datetimes(timezones=st.just(timezone.utc)), min_size=1, max_size=5))
     @example([datetime(2014, 1, 1, 0, 0, 0, 300_000, tzinfo=timezone.utc)])
